@@ -1,7 +1,7 @@
 // Package repro's top-level benchmarks regenerate every figure of the
 // evaluation section of Ainsworth & Jones, "Software Prefetching for
-// Indirect Memory Accesses" (CGO 2017), plus ablations of the design
-// choices called out in DESIGN.md.
+// Indirect Memory Accesses" (CGO 2017), plus ablations of the pass's
+// design choices (listed in docs/experiments.md).
 //
 //	go test -bench=. -benchmem            # quick-quality figures
 //	go test -bench=Fig4 -tags=...         # one figure
@@ -9,8 +9,8 @@
 // Each benchmark runs the experiment once per b.N iteration and
 // reports the figure's headline number (a speedup or a percentage) as
 // a custom metric, so `go test -bench` output doubles as a results
-// table. The full-size tables live in EXPERIMENTS.md and are produced
-// by cmd/swpfbench.
+// table. cmd/swpfbench produces the full-size tables; see
+// docs/experiments.md.
 package repro
 
 import (
@@ -161,7 +161,7 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md "key design decisions") ---
+// --- Ablations (docs/experiments.md, "Ablations") ---
 
 // BenchmarkAblationFlatOffset compares eq. (1) staggered scheduling
 // against a flat look-ahead (every chain position at offset c) on the

@@ -16,7 +16,7 @@ import (
 )
 
 // Quality selects input sizes: Full is the scaled-paper configuration
-// used for EXPERIMENTS.md; Quick shrinks inputs for smoke tests.
+// behind docs/experiments.md; Quick shrinks inputs for smoke tests.
 type Quality int
 
 // Qualities.
@@ -150,7 +150,7 @@ func (t *Table) CSV() string {
 }
 
 // Markdown renders the table as a GitHub-flavoured markdown table, for
-// pasting into EXPERIMENTS.md.
+// pasting into docs/experiments.md.
 func (t *Table) Markdown() string {
 	var sb strings.Builder
 	row := func(cells []string) {

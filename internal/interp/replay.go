@@ -2,6 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/hwpf"
 	"repro/internal/ir"
@@ -9,30 +11,55 @@ import (
 	"repro/internal/trace"
 )
 
-// Image is a trace predecoded into flat parallel arrays, ready to be
-// replayed against any number of machine configurations. Building the
-// Image pays the varint/stream decoding cost exactly once; each Replay
-// is then a tight loop over the arrays issuing sim.Core calls. The
-// sweep runner builds one Image per (workload, variant) group and fans
-// the machine × hwpf cells off it, so per-cell cost is the timing
-// model plus array dispatch — no interpretation, no decoding.
+// Image is a trace predecoded into flat arrays, ready to be replayed
+// against any number of machine configurations. Building the Image
+// pays the varint/stream decoding cost exactly once; each Replay is
+// then a tight loop over the arrays issuing sim.Core calls. The sweep
+// runner builds one Image per (workload, variant) group and fans the
+// machine × hwpf cells off it, so per-cell cost is the timing model
+// plus array dispatch — no interpretation, no decoding.
+//
+// The layout is compact because a sweep holds one image per open
+// group. Every event costs one header byte; the other arrays hold only
+// what some events carry, in stream order, so replay walks each with
+// its own cursor. Every array is sized exactly, from a census of the
+// stream taken before decoding.
 type Image struct {
 	t *trace.Trace
 
-	kind []uint8 // trace.Kind per event
-	aux  []uint8 // Op: LatClass; Prefetch: 1=valid; Branch: 1=conditional; Poke: width
+	// hdr holds one byte per event: the trace.Kind in the low three
+	// bits, the aux value in the next two (Op: LatClass; Prefetch:
+	// 1=valid; Branch: 1=conditional; Poke: log2 of the width) and the
+	// dependency count in the top three. A count of depEscape or more
+	// is stored as depEscape, with the count itself in deps ahead of
+	// the set.
+	hdr []uint8
+
+	// deps holds the dependency sets, flattened in event order: value
+	// indices, plus the escaped counts.
+	deps []uint32
+
+	// pc and addr hold the operands of Load, Store and Prefetch events.
 	pc   []int32
-	addr []int64 // Load/Store/Prefetch/Poke: address; Alloc: size
+	addr []int64
 
-	// Poke values live out of line: only memory-replica rebuilds (IMP
-	// configs) read them, and most events are not pokes.
-	pokeVal []int64
-
-	// Dependency sets, flattened: event i depends on the values produced
-	// by deps[depOff[i]:depOff[i+1]].
-	depOff []uint32
-	deps   []uint32
+	// Alloc sizes and Poke writes live apart: only memory-replica
+	// rebuilds (IMP configs) read them.
+	allocs []int64
+	pokes  []poke
 }
+
+// poke is one recorded simulated-memory write.
+type poke struct{ addr, val int64 }
+
+// Header byte fields.
+const (
+	kindMask  = 1<<3 - 1
+	auxShift  = 3
+	auxMask   = 1<<2 - 1
+	depShift  = 5
+	depEscape = 1<<3 - 1
+)
 
 // NewImage decodes a trace into its replayable form, validating the
 // stream (any corruption surfaces here, not mid-replay).
@@ -41,49 +68,58 @@ func NewImage(t *trace.Trace) (*Image, error) {
 		return nil, fmt.Errorf("interp: replay: trace has %d op counts, want %d (recorded by a different IR revision?)",
 			n, ir.NumOps)
 	}
-	n := int(t.NumEvents)
+	c := t.Census()
+	mem := c.Kinds[trace.KindLoad] + c.Kinds[trace.KindStore] + c.Kinds[trace.KindPrefetch]
+	deps := c.Deps
+	for _, n := range c.DepSets[depEscape:] {
+		deps += n // an escaped count takes a slot of its own
+	}
 	im := &Image{
 		t:      t,
-		kind:   make([]uint8, 0, n),
-		aux:    make([]uint8, 0, n),
-		pc:     make([]int32, 0, n),
-		addr:   make([]int64, 0, n),
-		depOff: make([]uint32, 1, n+1),
+		hdr:    make([]uint8, t.NumEvents),
+		deps:   make([]uint32, deps),
+		pc:     make([]int32, mem),
+		addr:   make([]int64, mem),
+		allocs: make([]int64, c.Kinds[trace.KindAlloc]),
+		pokes:  make([]poke, c.Kinds[trace.KindPoke]),
 	}
+	var i, dp, mp, ap, pp int // cursors: event, deps, pc/addr, allocs, pokes
 	r := t.Events()
 	var ev trace.Event
 	for r.Next(&ev) {
 		var aux uint8
-		var addr int64
 		switch ev.Kind {
 		case trace.KindOp:
 			aux = uint8(ev.Lat)
-		case trace.KindLoad, trace.KindStore:
-			addr = ev.Addr
-		case trace.KindPrefetch:
-			addr = ev.Addr
-			if ev.Valid {
+		case trace.KindLoad, trace.KindStore, trace.KindPrefetch:
+			if ev.Kind == trace.KindPrefetch && ev.Valid {
 				aux = 1
 			}
+			im.pc[mp], im.addr[mp] = int32(ev.PC), ev.Addr
+			mp++
 		case trace.KindBranch:
 			if ev.Conditional {
 				aux = 1
 			}
 		case trace.KindAlloc:
-			addr = ev.Size
+			im.allocs[ap] = ev.Size
+			ap++
 		case trace.KindPoke:
-			addr = ev.Addr
-			aux = uint8(ev.Width)
-			im.pokeVal = append(im.pokeVal, ev.Val)
+			aux = uint8(bits.TrailingZeros(uint(ev.Width)))
+			im.pokes[pp] = poke{ev.Addr, ev.Val}
+			pp++
 		}
-		im.kind = append(im.kind, uint8(ev.Kind))
-		im.aux = append(im.aux, aux)
-		im.pc = append(im.pc, int32(ev.PC))
-		im.addr = append(im.addr, addr)
+		n := min(len(ev.Deps), depEscape)
+		if n == depEscape {
+			im.deps[dp] = uint32(len(ev.Deps))
+			dp++
+		}
 		for _, d := range ev.Deps {
-			im.deps = append(im.deps, uint32(d))
+			im.deps[dp] = uint32(d)
+			dp++
 		}
-		im.depOff = append(im.depOff, uint32(len(im.deps)))
+		im.hdr[i] = uint8(ev.Kind) | aux<<auxShift | uint8(n)<<depShift
+		i++
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -93,6 +129,11 @@ func NewImage(t *trace.Trace) (*Image, error) {
 
 // Trace returns the trace this image was decoded from.
 func (im *Image) Trace() *trace.Trace { return im.t }
+
+// valueBufs recycles Replay's buffers of value completion times, one
+// float64 per value of the trace. A sweep replays thousands of cells,
+// and a fresh buffer per cell would be most of what replay allocates.
+var valueBufs = sync.Pool{New: func() any { return new([]float64) }}
 
 // Replay drives the core timing model from the predecoded trace instead
 // of live interpretation: the machine-retiming half of the record/replay
@@ -129,56 +170,65 @@ func (im *Image) Replay(c sim.CoreModel) (Stats, error) {
 	}
 
 	cfg := c.Config()
-	mulLat, divLat := cfg.MulLatency, cfg.DivLatency
-	if mulLat == 0 {
-		mulLat = 1 // the decoder's zero-means-one clamp
-	}
-	if divLat == 0 {
-		divLat = 1
+	lat := [4]int64{trace.Lat1: 1, trace.LatMul: cfg.MulLatency, trace.LatDiv: cfg.DivLatency}
+	for i := range lat {
+		if lat[i] == 0 {
+			lat[i] = 1 // the decoder's zero-means-one clamp
+		}
 	}
 
-	values := make([]float64, 0, t.NumValues)
-	nextPoke := 0
-	for i, kind := range im.kind {
+	buf := valueBufs.Get().(*[]float64)
+	defer valueBufs.Put(buf)
+	if uint64(cap(*buf)) < t.NumValues {
+		*buf = make([]float64, 0, t.NumValues)
+	}
+	values := (*buf)[:0]
+	var dp, mp, ap, pp int // cursors: deps, pc/addr, allocs, pokes
+	for _, h := range im.hdr {
+		n := int(h >> depShift)
+		if n == depEscape {
+			n = int(im.deps[dp])
+			dp++
+		}
 		var opsReady float64
-		for _, d := range im.deps[im.depOff[i]:im.depOff[i+1]] {
+		for _, d := range im.deps[dp : dp+n] {
 			if v := values[d]; v > opsReady {
 				opsReady = v
 			}
 		}
-		switch trace.Kind(kind) {
+		dp += n
+		aux := h >> auxShift & auxMask
+		switch trace.Kind(h & kindMask) {
 		case trace.KindOp:
-			lat := int64(1)
-			switch trace.LatClass(im.aux[i]) {
-			case trace.LatMul:
-				lat = mulLat
-			case trace.LatDiv:
-				lat = divLat
-			}
-			values = append(values, c.Op(opsReady, lat))
+			values = append(values, c.Op(opsReady, lat[aux]))
 		case trace.KindLoad:
-			values = append(values, c.Load(int(im.pc[i]), im.addr[i], opsReady))
+			values = append(values, c.Load(int(im.pc[mp]), im.addr[mp], opsReady))
+			mp++
 		case trace.KindStore:
-			c.Store(int(im.pc[i]), im.addr[i], opsReady)
+			c.Store(int(im.pc[mp]), im.addr[mp], opsReady)
+			mp++
 		case trace.KindPrefetch:
-			c.Prefetch(int(im.pc[i]), im.addr[i], opsReady, im.aux[i] != 0)
+			c.Prefetch(int(im.pc[mp]), im.addr[mp], opsReady, aux != 0)
+			mp++
 		case trace.KindBranch:
-			c.Branch(opsReady, im.aux[i] != 0)
+			c.Branch(opsReady, aux != 0)
 		case trace.KindFinish:
 			c.Finish()
 		case trace.KindAlloc:
 			if replica != nil {
-				if _, err := replica.Alloc(im.addr[i]); err != nil {
+				if _, err := replica.Alloc(im.allocs[ap]); err != nil {
 					return st, fmt.Errorf("interp: replay: %w", err)
 				}
 			}
+			ap++
 		case trace.KindPoke:
 			if replica != nil {
-				if err := replica.Store(im.addr[i], im.pokeVal[nextPoke], pokeType(int(im.aux[i]))); err != nil {
+				p := im.pokes[pp]
+				if err := replica.Store(p.addr, p.val, pokeType(1<<aux)); err != nil {
 					return st, fmt.Errorf("interp: replay: %w", err)
 				}
 			}
-			nextPoke++
+			pp++
 		}
 	}
 

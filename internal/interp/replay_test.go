@@ -10,7 +10,7 @@ import (
 
 // recordKernel runs the kernel once with recording attached (on cfg)
 // and returns the sealed trace plus the direct run's stats.
-func recordKernel(t *testing.T, src, fn string, cfg *sim.Config, n int64) (*trace.Trace, Stats) {
+func recordKernel(t testing.TB, src, fn string, cfg *sim.Config, n int64) (*trace.Trace, Stats) {
 	t.Helper()
 	mod := ir.MustParse(src)
 	mach := New(mod, cfg)

@@ -27,6 +27,7 @@ package sweep
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,12 +146,13 @@ type groupKey struct {
 }
 
 // group is one replay group: the request indices (in request order)
-// sharing a functional key.
+// sharing a functional key. The schedule's lock guards every field
+// but idxs.
 type group struct {
-	idxs     []int
-	image    *interp.Image
-	err      error
-	recorded bool // idxs[0] was served by the recording run itself
+	idxs  []int
+	image *interp.Image // set while cells still need it
+	next  int           // idxs[next] is the next cell to hand out
+	left  int           // cells not yet completed
 }
 
 // Execute runs every request and returns the outcomes in request
@@ -160,12 +162,16 @@ type group struct {
 // hits are served before the worker pool starts, so only misses cost
 // simulation time; failed cells are never cached.
 //
-// Replay-mode misses run in two pooled phases after the direct pool:
-// one trace per group (recorded, or fetched from a TraceCache), then
-// every remaining cell of every group as a replay. A group whose
-// trace cannot be obtained fails all its cells with the recording
-// error. The result set is bit-identical for any worker count in both
-// modes — and across modes, which cmd/golden enforces byte-for-byte.
+// One worker pool runs the misses: direct cells first, then replay
+// groups streamed in request order (see schedule). A group obtains
+// its trace — fetched from a TraceCache, or recorded, which also
+// serves the group's first cell — and decodes it into an image only
+// if some cell still needs one; the image is dropped when the group's
+// last cell completes, so replay memory is bounded by the worker
+// count, not by the grid. A group whose trace cannot be obtained
+// fails all its cells with the recording error. The result set is
+// bit-identical for any worker count in both modes — and across
+// modes, which cmd/golden enforces byte-for-byte.
 func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 	out := make([]Outcome, len(reqs))
 	m := r.metrics()
@@ -177,11 +183,12 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 		}
 	}
 
-	// Serve cache hits up front; only the misses go to the pools.
+	// Serve cache hits up front; only the misses go to the pool.
 	// Result keys ignore Exec, so a warm direct store answers replay
 	// cells (and vice versa) — the modes produce identical results.
-	var direct []int
-	var groups []*group
+	s := &schedule{}
+	s.wake.L = &s.mu
+	misses := 0
 	byKey := make(map[groupKey]*group)
 	for i, req := range reqs {
 		if r.Cache != nil {
@@ -192,8 +199,9 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 				continue
 			}
 		}
+		misses++
 		if req.ExecMode() != core.ExecReplay {
-			direct = append(direct, i)
+			s.direct = append(s.direct, i)
 			continue
 		}
 		k := groupKey{req.Workload.Name, req.Workload.Params, req.Variant, req.Options}
@@ -201,36 +209,23 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 		if g == nil {
 			g = &group{}
 			byKey[k] = g
-			groups = append(groups, g)
+			s.groups = append(s.groups, g)
 		}
 		g.idxs = append(g.idxs, i)
+		g.left++
 	}
-
-	// Direct misses: one cell per work item, as always.
-	r.pool(len(direct), func(cx *core.Context, n int) {
-		i := direct[n]
-		req := reqs[i]
-		start := time.Now()
-		res, err := cx.Run(req.Workload, req.System, req.Variant, req.Options)
-		m.DirectSeconds.Observe(time.Since(start).Seconds())
-		m.CellsDirect.Inc()
-		out[i] = Outcome{Request: req, Result: res, Err: err}
-		r.put(req, res, err)
-		progress()
-	})
-
-	// Replay phase 1: one trace per group. Recording is itself a full
-	// direct run, so its Result serves the group's first cell for free
-	// (with Pass nil, like every replay- or store-served result).
 	tc, _ := r.Cache.(TraceCache)
-	r.pool(len(groups), func(cx *core.Context, n int) {
-		g := groups[n]
+
+	// open obtains a group's trace and, if any cell still needs it,
+	// its image. It returns the image and the number of the group's
+	// cells the opening completed: the recorded one, or all of them
+	// on failure.
+	open := func(cx *core.Context, g *group) (*interp.Image, int) {
 		req := reqs[g.idxs[0]]
 		if tc != nil {
 			if t, ok := tc.GetTrace(req); ok {
 				if im, err := interp.NewImage(t); err == nil {
-					g.image = im
-					return
+					return im, 0
 				}
 				// Undecodable under this build (e.g. recorded by a
 				// different IR revision): fall through and re-record.
@@ -238,17 +233,23 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 		}
 		start := time.Now()
 		t, res, err := cx.Record(req.Workload, req.System, req.Variant, req.Options)
-		if err == nil {
-			g.image, err = interp.NewImage(t)
+		var im *interp.Image
+		if err == nil && len(g.idxs) > 1 {
+			im, err = interp.NewImage(t)
 		}
 		m.RecordSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
-			g.err = err
-			return
+			for _, i := range g.idxs {
+				out[i] = Outcome{Request: reqs[i], Err: err}
+				progress()
+			}
+			return nil, len(g.idxs)
 		}
+		// Recording is itself a full direct run, so its Result serves
+		// the group's first cell for free (with Pass nil, like every
+		// replay- or store-served result).
 		res.Pass = nil
 		out[g.idxs[0]] = Outcome{Request: req, Result: res}
-		g.recorded = true
 		m.CellsRecorded.Inc()
 		r.put(req, res, nil)
 		if tc != nil {
@@ -257,68 +258,125 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 			}
 		}
 		progress()
-	})
-
-	// Replay phase 2: every remaining cell, retimed from its group's
-	// predecoded image (shared read-only across workers).
-	var cells, cellGroup []int
-	for gi, g := range groups {
-		if g.err != nil {
-			for _, i := range g.idxs {
-				out[i] = Outcome{Request: reqs[i], Err: g.err}
-				progress()
-			}
-			continue
-		}
-		idxs := g.idxs
-		if g.recorded {
-			idxs = idxs[1:]
-		}
-		for _, i := range idxs {
-			cells = append(cells, i)
-			cellGroup = append(cellGroup, gi)
-		}
+		return im, 1
 	}
-	r.pool(len(cells), func(cx *core.Context, n int) {
-		i := cells[n]
-		req := reqs[i]
-		start := time.Now()
-		res, err := cx.ReplayImage(groups[cellGroup[n]].image, req.System)
-		m.ReplaySeconds.Observe(time.Since(start).Seconds())
-		m.CellsReplayed.Inc()
-		out[i] = Outcome{Request: req, Result: res, Err: err}
-		r.put(req, res, err)
-		progress()
-	})
+
+	var wg sync.WaitGroup
+	for k := Jobs(r.Jobs, misses); k > 0; k-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cx := core.NewContext()
+			for t, ok := s.take(); ok; t, ok = s.take() {
+				if t.open {
+					im, n := open(cx, t.g)
+					s.opened(t.g, im, n)
+					continue
+				}
+				req := reqs[t.cell]
+				start := time.Now()
+				var res *core.Result
+				var err error
+				if t.g == nil {
+					res, err = cx.Run(req.Workload, req.System, req.Variant, req.Options)
+					m.DirectSeconds.Observe(time.Since(start).Seconds())
+					m.CellsDirect.Inc()
+				} else {
+					// Retimed from the group's image, shared read-only.
+					res, err = cx.ReplayImage(t.image, req.System)
+					m.ReplaySeconds.Observe(time.Since(start).Seconds())
+					m.CellsReplayed.Inc()
+				}
+				out[t.cell] = Outcome{Request: req, Result: res, Err: err}
+				r.put(req, res, err)
+				progress()
+				if t.g != nil {
+					s.completed(t.g, 1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 
 	set := &ResultSet{Outcomes: out}
 	return set, set.Err()
 }
 
-// pool runs n work items on a worker pool. Each worker owns one
-// core.Context, so simulator tables are recycled across that worker's
-// items and never shared between goroutines.
-func (r Runner) pool(n int, f func(cx *core.Context, n int)) {
-	if n == 0 {
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := Jobs(r.Jobs, n); k > 0; k-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cx := core.NewContext()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= n {
-					return
-				}
-				f(cx, j)
+// schedule hands a sweep's misses to the worker pool: direct cells
+// first, then replay cells of open groups, oldest group first, and
+// only when no replay cell is ready, the next group to open. A group
+// is open from when a worker takes it to fetch or record its trace
+// until its last cell completes, which drops its image. Because a
+// worker opens a group only when every open group's cells are handed
+// out, each open group holds a busy worker of its own: at most as many
+// groups as workers are open, and so at most that many images alive.
+type schedule struct {
+	mu     sync.Mutex
+	wake   sync.Cond // broadcast when a group becomes ready or a cell completes
+	direct []int     // direct cells not yet taken
+	groups []*group  // replay groups not yet opened, in request order
+	open   []*group  // open groups, in opening order
+}
+
+// task is one unit of work: direct cell (g nil), opening group g, or
+// replay cell of g from image.
+type task struct {
+	cell  int
+	g     *group
+	open  bool
+	image *interp.Image
+}
+
+// take blocks until a task is available and returns it, or returns
+// false once every cell has been handed out and every group closed.
+func (s *schedule) take() (task, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if len(s.direct) > 0 {
+			i := s.direct[0]
+			s.direct = s.direct[1:]
+			return task{cell: i}, true
+		}
+		for _, g := range s.open {
+			if g.image != nil && g.next < len(g.idxs) {
+				g.next++
+				return task{cell: g.idxs[g.next-1], g: g, image: g.image}, true
 			}
-		}()
+		}
+		if len(s.groups) > 0 {
+			g := s.groups[0]
+			s.groups = s.groups[1:]
+			s.open = append(s.open, g)
+			return task{g: g, open: true}, true
+		}
+		if len(s.open) == 0 {
+			return task{}, false
+		}
+		s.wake.Wait()
 	}
-	wg.Wait()
+}
+
+// opened publishes an opened group's image, if it has one, and
+// accounts for the n cells the opening completed; the cells after
+// those are the ones that need the image.
+func (s *schedule) opened(g *group, im *interp.Image, n int) {
+	s.mu.Lock()
+	g.image, g.next = im, n
+	s.mu.Unlock()
+	s.completed(g, n)
+}
+
+// completed accounts for n completed cells of g, closing the group
+// after its last.
+func (s *schedule) completed(g *group, n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if g.left -= n; g.left == 0 {
+		g.image = nil
+		s.open = slices.DeleteFunc(s.open, func(o *group) bool { return o == g })
+	}
+	s.wake.Broadcast()
 }
 
 // put persists a successful result, reporting failures to OnPutError.

@@ -80,6 +80,16 @@ func Decode(data []byte) (*Trace, error) {
 	if d.pos != len(body) {
 		return nil, corrupt("%d trailing bytes after footer", len(body)-d.pos)
 	}
+	// Replayers size their arrays from the footer counts before the
+	// stream can contradict them, so bound the counts by the payload
+	// here: every event is at least its tag byte, and every value is an
+	// event.
+	if t.NumEvents > uint64(len(t.events)) {
+		return nil, corrupt("footer claims %d events in a %d-byte payload", t.NumEvents, len(t.events))
+	}
+	if t.NumValues > t.NumEvents {
+		return nil, corrupt("footer claims %d values from %d events", t.NumValues, t.NumEvents)
+	}
 	return t, nil
 }
 
@@ -154,6 +164,10 @@ func (r *Reader) fail(format string, args ...any) bool {
 }
 
 func (r *Reader) uv() (uint64, bool) {
+	if r.pos < len(r.data) && r.data[r.pos] < 0x80 { // one-byte fast path
+		r.pos++
+		return uint64(r.data[r.pos-1]), true
+	}
 	x, n := binary.Uvarint(r.data[r.pos:])
 	if n <= 0 {
 		return 0, false
@@ -302,3 +316,88 @@ func (r *Reader) Next(ev *Event) bool {
 
 // Err returns the corruption error that stopped iteration, or nil.
 func (r *Reader) Err() error { return r.err }
+
+// Census tallies an event stream by what a replayer stores per event,
+// so that it can size its arrays exactly before it decodes.
+type Census struct {
+	Kinds [KindPoke + 1]uint64 // events per Kind
+	// DepSets counts events by dependency-set size; the last bucket
+	// holds every set of len(DepSets)-1 or more.
+	DepSets [8]uint64
+	Deps    uint64 // dependency indices over all events
+}
+
+// tagShape is what follows a tag byte: the varint fields before the
+// dependency set, and whether a dependency set follows.
+type tagShape struct {
+	kind   Kind
+	fields int
+	deps   bool
+}
+
+var tagShapes = [...]tagShape{
+	tagOp1:             {KindOp, 0, true},
+	tagOpMul:           {KindOp, 0, true},
+	tagOpDiv:           {KindOp, 0, true},
+	tagLoad:            {KindLoad, 2, true},
+	tagStore:           {KindStore, 2, true},
+	tagPrefetchValid:   {KindPrefetch, 2, true},
+	tagPrefetchInvalid: {KindPrefetch, 2, true},
+	tagBr:              {KindBranch, 0, true},
+	tagCBr:             {KindBranch, 0, true},
+	tagFinish:          {KindFinish, 0, false},
+	tagAlloc:           {KindAlloc, 1, false},
+	tagPoke1:           {KindPoke, 2, false},
+	tagPoke2:           {KindPoke, 2, false},
+	tagPoke4:           {KindPoke, 2, false},
+	tagPoke8:           {KindPoke, 2, false},
+}
+
+// Census scans the event payload without decoding field values. On a
+// well-formed stream its counts are exactly what a Reader yields; on a
+// malformed one it stops at the first event it cannot frame, and every
+// prefix the Reader accepts is counted in full, so arrays sized from
+// the census never overflow while a Reader fills them.
+func (t *Trace) Census() Census {
+	var c Census
+	data := t.events
+	pos := 0
+	skip := func() bool { // one varint
+		for pos < len(data) {
+			pos++
+			if data[pos-1] < 0x80 {
+				return true
+			}
+		}
+		return false
+	}
+	for pos < len(data) {
+		tag := data[pos]
+		pos++
+		if tag == tagEnd || int(tag) >= len(tagShapes) {
+			break
+		}
+		sh := tagShapes[tag]
+		ok := true
+		for i := 0; i < sh.fields && ok; i++ {
+			ok = skip()
+		}
+		if ok && sh.deps {
+			n, w := binary.Uvarint(data[pos:])
+			if w <= 0 || n > uint64(len(data)-pos-w) {
+				break
+			}
+			pos += w
+			for i := uint64(0); i < n && ok; i++ {
+				ok = skip()
+			}
+			c.DepSets[min(n, uint64(len(c.DepSets)-1))]++
+			c.Deps += n
+		}
+		if !ok {
+			break
+		}
+		c.Kinds[sh.kind]++
+	}
+	return c
+}

@@ -179,6 +179,25 @@ func TestTruncationAndCorruption(t *testing.T) {
 	if _, err := Decode(append(append([]byte(nil), enc...), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Error("trailing garbage not detected")
 	}
+
+	// Footers that pass the CRC but overstate their counts: replayers
+	// size arrays from them, so Decode must bound them by the payload.
+	w := NewWriter()
+	w.Op(Lat1, nil)
+	w.Finish()
+	for _, c := range []struct {
+		name           string
+		events, values uint64
+	}{
+		{"events beyond the payload", 1 << 60, 1},
+		{"values beyond the events", 2, 3},
+	} {
+		tr := w.Close(Meta{}, Summary{})
+		tr.NumEvents, tr.NumValues = c.events, c.values
+		if _, err := Decode(tr.Encode()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("footer with %s: err = %v, want ErrCorrupt", c.name, err)
+		}
+	}
 }
 
 // TestVersionMismatch: a future-format trace is rejected cleanly.

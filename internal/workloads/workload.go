@@ -13,8 +13,9 @@
 // knowledge the automatic pass cannot have (HJ-8 chain length, RA's
 // block-repeat structure, G500's edge-list prefetch).
 //
-// Inputs are scaled down relative to the paper (see DESIGN.md), in
-// proportion to the uarch package's CacheScale.
+// Inputs are scaled down relative to the paper (see
+// docs/experiments.md), in proportion to the uarch package's
+// CacheScale.
 package workloads
 
 import (
