@@ -609,12 +609,6 @@ func cmdDoctor(argv []string, stdout, stderr io.Writer) error {
 		Store *struct {
 			Hits, Misses, Puts int64
 		} `json:"store"`
-		Peer *struct {
-			Base        string `json:"base"`
-			Up          bool   `json:"up"`
-			Transitions int64  `json:"transitions"`
-			Dropped     int64  `json:"dropped"`
-		} `json:"peer"`
 	}
 	if err := getJSON(addr, "/fleet", &fleet); err != nil {
 		return fmt.Errorf("coordinator %s: %w", addr, err)
@@ -632,20 +626,9 @@ func cmdDoctor(argv []string, stdout, stderr io.Writer) error {
 	default:
 		fmt.Fprintf(stdout, "store:\t%d hits, %d misses, %d puts\n", fleet.Store.Hits, fleet.Store.Misses, fleet.Store.Puts)
 	}
-	if fleet.Peer != nil {
-		state := "down"
-		if fleet.Peer.Up {
-			state = "up"
-		}
-		fmt.Fprintf(stdout, "peer:\t%s (%s)\n", fleet.Peer.Base, state)
-	}
 
 	// Anomaly checks: each prints one "warning:" line; none is fatal —
 	// doctor diagnoses, the operator decides.
-	if fleet.Peer != nil && !fleet.Peer.Up {
-		fmt.Fprintf(stdout, "warning:\tstore peer %s is down (circuit open, %d trips, %d replications dropped)\n",
-			fleet.Peer.Base, fleet.Peer.Transitions, fleet.Peer.Dropped)
-	}
 	if fleet.Queue.Requeued > 0 {
 		fmt.Fprintf(stdout, "warning:\t%d cells requeued by lease expiry — workers dying or lease TTL too short\n",
 			fleet.Queue.Requeued)

@@ -93,29 +93,6 @@ func renderTop(w io.Writer, addr string, samples []obs.Sample) {
 		fmt.Fprintf(w, "store   hits %.0f  misses %.0f  puts %.0f\n",
 			v("swpf_store_hits_total"), v("swpf_store_misses_total"), v("swpf_store_puts_total"))
 	}
-	for _, s := range samples {
-		if s.Name != "swpf_store_peer_up" {
-			continue
-		}
-		var base string
-		for _, l := range s.Labels {
-			if l.Key == "peer" {
-				base = l.Value
-			}
-		}
-		state := "down"
-		if s.Value == 1 {
-			state = "up"
-		}
-		peer := obs.L("peer", base)
-		fmt.Fprintf(w, "peer    %s %s  hits %.0f  errors %.0f  queued %.0f  dropped %.0f  trips %.0f\n",
-			base, state,
-			metricValue(samples, "swpf_store_peer_hits_total", peer),
-			metricValue(samples, "swpf_store_peer_errors_total", peer),
-			metricValue(samples, "swpf_store_peer_queue_depth", peer),
-			metricValue(samples, "swpf_store_peer_dropped_total", peer),
-			metricValue(samples, "swpf_store_peer_breaker_transitions_total", peer))
-	}
 
 	var sweepTotal float64
 	var sweepParts []string

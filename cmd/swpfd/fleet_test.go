@@ -185,9 +185,9 @@ func TestErrorContracts(t *testing.T) {
 	}{
 		{"POST", "/sweep", `not json`, 400, "decoding spec: *"},
 		{"POST", "/sweep", `{"quality":"huge"}`, 400, `unknown quality "huge" (have full, quick, tiny, gen)`},
-		{"POST", "/sweep", `{"variants":"jit","quality":"tiny"}`, 400, `sweep: unknown variant "jit" (have [plain auto manual icc indirect-only])`},
+		{"POST", "/sweep", `{"variants":"jit","quality":"tiny"}`, 400, `sweep: unknown variant "jit" (have plain, auto, manual, icc, indirect-only)`},
 		{"POST", "/sweep", `{"hwpf":"warp-drive","quality":"tiny"}`, 400, `sweep: unknown hardware prefetcher "warp-drive" (have default, none, stride, nextline, ghb, imp)`},
-		{"POST", "/sweep", `{"exec":"jit","quality":"tiny"}`, 400, `sweep: core: unknown exec mode "jit" (have direct, replay)`},
+		{"POST", "/sweep", `{"exec":"jit","quality":"tiny"}`, 400, `sweep: unknown exec mode "jit" (have direct, replay)`},
 		{"GET", "/jobs/job-99", "", 404, `unknown job "job-99"`},
 		{"GET", "/jobs/job-99/events", "", 404, `unknown job "job-99"`},
 		{"GET", "/results?id=job-99", "", 404, `unknown job "job-99"`},
@@ -322,7 +322,7 @@ func TestFleetWorkerLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := coordinatorOnly(t, config{cache: st, objects: st, leaseBatch: 3})
+	ts := coordinatorOnly(t, config{store: st, leaseBatch: 3})
 
 	id, cells := submit(t, ts, tinySpec)
 

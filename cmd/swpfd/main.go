@@ -34,8 +34,6 @@
 //	POST /fleet/complete   report a lease's results
 //	POST /fleet/heartbeat  extend a lease
 //	GET  /fleet            queue + store statistics
-//	GET|PUT /objects/{key} the store-peer protocol (internal/store),
-//	                       mounted when a store is attached
 //
 // Cells run on -local-workers in-process worker loops (default 1) plus
 // any number of remote `swpfd -worker URL` processes pulling from
@@ -53,10 +51,10 @@
 // Flags: -addr (default 127.0.0.1:8077 — the API is unauthenticated,
 // so non-loopback binds are an explicit choice; :0 picks an ephemeral
 // port and prints it), -jobs (worker pool size per sweep),
-// -store/-no-store (result cache; default $SWPF_STORE), -peer (store
-// peer URL; default $SWPF_PEER), -local-workers, -lease-ttl,
-// -lease-batch, -max-pending, and -worker URL (run as a fleet worker
-// instead of a daemon). See docs/service.md and docs/fleet.md.
+// -store/-no-store (result cache; default $SWPF_STORE), -local-workers,
+// -lease-ttl, -lease-batch, -max-pending, and -worker URL (run as a
+// fleet worker instead of a daemon). See docs/service.md and
+// docs/fleet.md.
 package main
 
 import (
@@ -107,7 +105,6 @@ func run(argv []string, stderr io.Writer) error {
 		jobs    = fs.Int("jobs", 0, "worker goroutines per sweep (0 = all CPUs)")
 		worker  = fs.String("worker", "", "run as a fleet worker pulling cells from this coordinator URL instead of serving")
 		name    = fs.String("name", "", "worker name reported to the coordinator (default swpfd-<pid>)")
-		peer    = fs.String("peer", "", "store-peer URL for read-through/write-behind replication (default $"+store.PeerEnvVar+")")
 		locals  = fs.Int("local-workers", 1, "in-process worker loops (0 = coordinate only, serve cells to remote workers)")
 		ttl     = fs.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet lease time-to-live between worker heartbeats")
 		batch   = fs.Int("lease-batch", 8, "max cells per worker lease")
@@ -130,24 +127,8 @@ func run(argv []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var cache sweep.Cache
 	if st != nil {
-		if p := *peer; p == "" {
-			p = os.Getenv(store.PeerEnvVar)
-			if p != "" {
-				*peer = p
-			}
-		}
-		if *peer != "" {
-			if err := st.SetPeer(*peer, store.PeerOptions{}); err != nil {
-				return err
-			}
-			logger.Info("store peer", "url", *peer)
-		}
-		cache = st
 		logger.Info("store", "dir", st.Dir())
-	} else if *peer != "" {
-		return fmt.Errorf("-peer requires a result store (-store or $%s)", store.EnvVar)
 	}
 	// On the flag, 0 means coordinate-only; in config that is the -1
 	// sentinel (config 0 selects the 1-worker default).
@@ -157,8 +138,7 @@ func run(argv []string, stderr io.Writer) error {
 	}
 	h := newServerCfg(config{
 		jobs:         *jobs,
-		cache:        cache,
-		objects:      st,
+		store:        st,
 		localWorkers: lw,
 		leaseBatch:   *batch,
 		maxPending:   *pending,
@@ -224,26 +204,127 @@ const (
 // separately by the queue's max-pending admission control.)
 const maxJobs = 256
 
-// job is one submitted sweep or tune search. A sweep job is backed by
-// a fleet ticket, which holds all its dynamic state; a tune job is
-// backed by a tuneJob (tune.go), which mirrors the ticket's progress
-// and terminal-state contract — exactly one of the two is set.
+// job is one submitted sweep or tune search and its dynamic state:
+// progress counts, terminal state, report and SSE subscribers. A sweep
+// job fills the state from its fleet ticket (track); a tune job fills
+// it from the tuner (runTune). Every route reads only this state.
 type job struct {
 	id       string
 	spec     SweepSpec
-	ticket   *fleet.Ticket
-	tuneSpec *TuneSpec
-	tune     *tuneJob
+	tuneSpec *TuneSpec // set for tune jobs
+
+	mu     sync.Mutex
+	done   int // monotonic; evaluations, not cells, for tune jobs
+	total  int // monotonic; hillclimb's total grows as it walks
+	state  string
+	errMsg string
+	report report // set once state is stateDone
+	subs   map[chan struct{}]bool
+}
+
+// report is what a finished job serves on /results: a sweep's
+// sweep.ResultSet or a tune job's tune.Report.
+type report interface {
+	WriteJSON(io.Writer) error
+	WriteCSV(io.Writer) error
+}
+
+// notifyLocked pings every subscriber without blocking; a full ping
+// channel means a notification is already pending, which coalesces.
+func (j *job) notifyLocked() {
+	for ch := range j.subs {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// setProgress advances the counters monotonically, notifying only on
+// a change: a tune job's batch totals and intra-batch completions
+// arrive interleaved.
+func (j *job) setProgress(done, total int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if done <= j.done && total <= j.total {
+		return
+	}
+	j.done, j.total = max(j.done, done), max(j.total, total)
+	j.notifyLocked()
+}
+
+// finish makes the job terminal: done with rep, or failed with err.
+func (j *job) finish(rep report, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err != nil {
+		j.state = stateFailed
+		j.errMsg = err.Error()
+	} else {
+		j.state = stateDone
+		j.report = rep
+	}
+	j.notifyLocked()
+}
+
+// track fills a sweep job from its ticket. A ticket that is already
+// finished — every cell answered by the store at submission — finishes
+// the job before POST /sweep replies, so its results are servable at
+// once; any other ticket is followed by a goroutine to its end.
+func (j *job) track(t *fleet.Ticket) {
+	if j.finishFrom(t) {
+		return
+	}
+	go func() {
+		ch, cancel := t.Subscribe()
+		defer cancel()
+		for p := range ch {
+			if p.Finished {
+				break
+			}
+			j.setProgress(p.Done, p.Total)
+		}
+		j.finishFrom(t)
+	}()
+}
+
+// finishFrom finishes the job from a finished ticket and reports
+// whether the ticket was finished.
+func (j *job) finishFrom(t *fleet.Ticket) bool {
+	set, ok := t.ResultSet()
+	if ok {
+		j.setProgress(t.Progress())
+		j.finish(set, set.Err())
+	}
+	return ok
+}
+
+// event returns the job's SSE event and whether it is terminal.
+func (j *job) event() (Event, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return Event{Done: j.done, Total: j.total, State: j.state}, j.state != stateRunning
 }
 
 // terminal reports whether the job has finished (either way).
 func (j *job) terminal() bool {
-	if j.tune != nil {
-		_, t := j.tune.snapshot()
-		return t
-	}
-	_, t := j.ticket.ResultSet()
+	_, t := j.event()
 	return t
+}
+
+// subscribe registers a ping channel, pre-loaded so a late subscriber
+// immediately sees the current (possibly terminal) state.
+func (j *job) subscribe() (<-chan struct{}, func()) {
+	ch := make(chan struct{}, 1)
+	ch <- struct{}{}
+	j.mu.Lock()
+	j.subs[ch] = true
+	j.mu.Unlock()
+	return ch, func() {
+		j.mu.Lock()
+		delete(j.subs, ch)
+		j.mu.Unlock()
+	}
 }
 
 // JobStatus is the wire form of a job, served by GET /jobs{,/{id}}.
@@ -261,44 +342,24 @@ type JobStatus struct {
 }
 
 func (j *job) status() JobStatus {
-	if j.tune != nil {
-		ev, _ := j.tune.snapshot()
-		_, errMsg, _ := j.tune.result()
-		return JobStatus{
-			ID:    j.id,
-			Spec:  j.spec,
-			Tune:  j.tuneSpec,
-			State: ev.State,
-			Total: ev.Total,
-			Done:  ev.Done,
-			Error: errMsg,
-		}
-	}
-	done, total := j.ticket.Progress()
-	st := JobStatus{
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return JobStatus{
 		ID:    j.id,
 		Spec:  j.spec,
-		State: stateRunning,
-		Total: total,
-		Done:  done,
+		Tune:  j.tuneSpec,
+		State: j.state,
+		Total: j.total,
+		Done:  j.done,
+		Error: j.errMsg,
 	}
-	if set, ok := j.ticket.ResultSet(); ok {
-		if err := set.Err(); err != nil {
-			st.State = stateFailed
-			st.Error = err.Error()
-		} else {
-			st.State = stateDone
-		}
-	}
-	return st
 }
 
 // config wires a server; the zero value of every field selects a sane
 // default.
 type config struct {
 	jobs         int          // sweep worker-pool size per local worker
-	cache        sweep.Cache  // result cache; nil = none
-	objects      *store.Store // when non-nil, /objects/ serves the store-peer protocol
+	store        *store.Store // result store; nil = none
 	localWorkers int          // in-process worker loops; -1 = none, 0 = 1
 	leaseBatch   int
 	maxPending   int
@@ -325,14 +386,14 @@ type server struct {
 
 // newServer builds a daemon handler with default fleet settings and
 // one in-process worker — the single-node shape, and the shape most
-// tests drive; cache may be nil.
-func newServer(jobs int, cache sweep.Cache) http.Handler {
-	return newServerCfg(config{jobs: jobs, cache: cache})
+// tests drive; st may be nil.
+func newServer(jobs int, st *store.Store) http.Handler {
+	return newServerCfg(config{jobs: jobs, store: st})
 }
 
 // newServerCfg builds the daemon's HTTP handler and starts its local
 // worker loops. Every layer shares one metrics registry — the fleet
-// queue, the store and its peer, the sweep engine and the tuner all
+// queue, the store, the sweep engine and the tuner all
 // register collectors or instruments on it, and the handler exposes it
 // as GET /metrics (Prometheus text) and GET /debug/vars (JSON) behind
 // the same middleware that instruments and access-logs every route.
@@ -354,21 +415,24 @@ func newServerCfg(cfg config) http.Handler {
 	if cfg.logger == nil {
 		cfg.logger = obs.Discard()
 	}
+	// A nil *store.Store must stay a nil sweep.Cache.
+	var cache sweep.Cache
+	if cfg.store != nil {
+		cache = cfg.store
+		cfg.store.Register(cfg.registry)
+	}
 	s := &server{
 		cfg:    cfg,
 		byID:   make(map[string]*job),
 		sweepM: sweep.NewMetrics(cfg.registry),
 		tuneM:  tune.NewMetrics(cfg.registry),
 		queue: fleet.New(fleet.Options{
-			Cache:      cfg.cache,
+			Cache:      cache,
 			MaxPending: cfg.maxPending,
 			LeaseTTL:   cfg.leaseTTL,
 			OnPutError: store.PutWarner(cfg.stderr),
 			Registry:   cfg.registry,
 		}),
-	}
-	if cfg.objects != nil {
-		cfg.objects.Register(cfg.registry)
 	}
 	for i := 0; i < cfg.localWorkers; i++ {
 		go s.localWorker(fmt.Sprintf("local-%d", i))
@@ -412,10 +476,6 @@ func newServerCfg(cfg config) http.Handler {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	if cfg.objects != nil {
-		routes = append(routes, "/objects/")
-		mux.Handle("/objects/", store.NewHandler(cfg.objects))
 	}
 	return obs.NewHTTPMetrics(cfg.registry, routes).Middleware(mux, cfg.logger)
 }
@@ -606,13 +666,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		s.mu.Lock()
-		s.seq++
-		j := &job{id: "job-" + strconv.Itoa(s.seq), spec: p.spec, ticket: ticket}
-		s.byID[j.id] = j
-		s.ids = append(s.ids, j.id)
-		s.evictLocked()
-		s.mu.Unlock()
+		j := s.addJob(p.spec, nil, ticket.Total())
+		j.track(ticket)
 		replies = append(replies, SubmitReply{ID: j.id, Cells: len(p.reqs)})
 	}
 	if batch {
@@ -647,6 +702,25 @@ func decodeSpecs(body []byte) (specs []SweepSpec, batch bool, err error) {
 		return nil, false, err
 	}
 	return []SweepSpec{spec}, false, nil
+}
+
+// addJob registers a running job under the next id.
+func (s *server) addJob(spec SweepSpec, tsp *TuneSpec, total int) *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq++
+	j := &job{
+		id:       "job-" + strconv.Itoa(s.seq),
+		spec:     spec,
+		tuneSpec: tsp,
+		total:    total,
+		state:    stateRunning,
+		subs:     make(map[chan struct{}]bool),
+	}
+	s.byID[j.id] = j
+	s.ids = append(s.ids, j.id)
+	s.evictLocked()
+	return j
 }
 
 // evictLocked drops the oldest terminal jobs (result sets included)
@@ -712,16 +786,12 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	if j.tune != nil {
-		s.handleTuneEvents(w, r, j)
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	ch, cancel := j.ticket.Subscribe()
+	ch, cancel := j.subscribe()
 	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -732,12 +802,8 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case p := <-ch:
-			ev := Event{Done: p.Done, Total: p.Total, State: stateRunning}
-			if p.Finished {
-				// The ticket is finished, so status() is terminal.
-				ev.State = j.status().State
-			}
+		case <-ch:
+			ev, terminal := j.event()
 			if _, err := io.WriteString(w, "data: "); err != nil {
 				return
 			}
@@ -748,15 +814,16 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			fl.Flush()
-			if p.Finished {
+			if terminal {
 				return
 			}
 		}
 	}
 }
 
-// handleResults streams a completed job's result set through the
-// ResultSet emitters: JSON records by default, CSV with format=csv.
+// handleResults streams a completed job's report — a sweep's result
+// set or a tune job's report, through the same emitters as swpfbench:
+// JSON by default, CSV with format=csv.
 func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	j := s.lookup(id)
@@ -764,27 +831,24 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	if j.tune != nil {
-		s.handleTuneResults(w, r, j)
-		return
-	}
-	set, finished := j.ticket.ResultSet()
-	if !finished {
-		done, total := j.ticket.Progress()
+	j.mu.Lock()
+	state, done, total, errMsg, rep := j.state, j.done, j.total, j.errMsg, j.report
+	j.mu.Unlock()
+	switch state {
+	case stateRunning:
 		writeError(w, http.StatusConflict, "job %s not finished (%d/%d cells)", id, done, total)
 		return
-	}
-	if err := set.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, "job %s failed: %v", id, err)
+	case stateFailed:
+		writeError(w, http.StatusInternalServerError, "job %s failed: %s", id, errMsg)
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		w.Header().Set("Content-Type", "application/json")
-		set.WriteJSON(w)
+		rep.WriteJSON(w)
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
-		set.WriteCSV(w)
+		rep.WriteCSV(w)
 	default:
 		writeError(w, http.StatusBadRequest, "unknown format %q (have json, csv)", format)
 	}
@@ -853,19 +917,15 @@ func (s *server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // FleetStatus is the GET /fleet response.
 type FleetStatus struct {
-	Queue fleet.Stats      `json:"queue"`
-	Store *store.Stats     `json:"store,omitempty"`
-	Peer  *store.PeerStats `json:"peer,omitempty"`
+	Queue fleet.Stats  `json:"queue"`
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 func (s *server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	out := FleetStatus{Queue: s.queue.Stats()}
-	if s.cfg.objects != nil {
-		st := s.cfg.objects.Stats()
+	if s.cfg.store != nil {
+		st := s.cfg.store.Stats()
 		out.Store = &st
-		if ps, ok := s.cfg.objects.PeerStats(); ok {
-			out.Peer = &ps
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -888,8 +948,8 @@ func (c traceOnlyCache) PutTrace(r sweep.Request, t *trace.Trace) error {
 
 // workerCache builds the cache a local worker runs under.
 func (s *server) workerCache() sweep.Cache {
-	if tc, ok := s.cfg.cache.(sweep.TraceCache); ok {
-		return traceOnlyCache{tc}
+	if s.cfg.store != nil {
+		return traceOnlyCache{s.cfg.store}
 	}
 	return nil
 }

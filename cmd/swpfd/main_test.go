@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
+	"repro/internal/interp"
 	"repro/internal/store"
 	"repro/internal/sweep"
 )
@@ -157,6 +159,89 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if len(list) != 2 || list[0].ID != "job-1" || list[1].ID != "job-2" {
 		t.Errorf("job listing wrong: %+v", list)
+	}
+}
+
+// TestWarmSweepFinishedAtReply: a sweep the store answers entirely is
+// terminal by the time POST /sweep replies, so GET /results right after
+// the 202 — with no polling in between — serves the cold job's bytes.
+func TestWarmSweepFinishedAtReply(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(2, st))
+	defer ts.Close()
+
+	cold, _ := submit(t, ts, tinySpec)
+	if final := poll(t, ts, cold); final.State != stateDone {
+		t.Fatalf("cold job finished badly: %+v", final)
+	}
+	_, want := fetch(t, ts, "/results?id="+cold)
+	for i := 0; i < 20; i++ {
+		id, _ := submit(t, ts, tinySpec)
+		code, body := fetch(t, ts, "/results?id="+id)
+		if code != http.StatusOK || !bytes.Equal(body, want) {
+			t.Fatalf("warm job %s: GET /results right after the 202 = %d:\n%s", id, code, body)
+		}
+	}
+
+	// An HTTP round trip gives a goroutine time to win that race, so pin
+	// the ordering itself: tracking a ticket that is already finished
+	// returns with the job terminal.
+	ticket, err := fleet.New(fleet.Options{}).Submit(nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := (&server{byID: make(map[string]*job)}).addJob(SweepSpec{}, nil, 0)
+	j.track(ticket)
+	if !j.terminal() {
+		t.Fatal("job still running after tracking a finished ticket")
+	}
+}
+
+// TestSharedStoreDirectory: two daemons running at once, each with its
+// own store handle on one directory, share results with no protocol
+// between them. A grid completed on A is served by B without a fresh
+// simulation, byte-identical in JSON and CSV.
+func TestSharedStoreDirectory(t *testing.T) {
+	dir := t.TempDir()
+	stA, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stB, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsA := httptest.NewServer(newServer(2, stA))
+	defer tsA.Close()
+	tsB := httptest.NewServer(newServer(2, stB))
+	defer tsB.Close()
+
+	idA, cells := submit(t, tsA, tinySpec)
+	if final := poll(t, tsA, idA); final.State != stateDone {
+		t.Fatalf("job on A finished badly: %+v", final)
+	}
+	_, jsonA := fetch(t, tsA, "/results?id="+idA)
+	_, csvA := fetch(t, tsA, "/results?id="+idA+"&format=csv")
+
+	before := interp.Runs()
+	idB, _ := submit(t, tsB, tinySpec)
+	if final := poll(t, tsB, idB); final.State != stateDone {
+		t.Fatalf("job on B finished badly: %+v", final)
+	}
+	if runs := interp.Runs() - before; runs != 0 {
+		t.Errorf("B ran %d fresh simulations, want 0", runs)
+	}
+	if code, body := fetch(t, tsB, "/results?id="+idB); code != http.StatusOK || !bytes.Equal(body, jsonA) {
+		t.Errorf("B's JSON differs from A's (code %d):\n%s\nvs\n%s", code, body, jsonA)
+	}
+	if code, body := fetch(t, tsB, "/results?id="+idB+"&format=csv"); code != http.StatusOK || !bytes.Equal(body, csvA) {
+		t.Errorf("B's CSV differs from A's (code %d):\n%s\nvs\n%s", code, body, csvA)
+	}
+	if stats := stB.Stats(); stats.Hits != int64(cells) || stats.Puts != 0 {
+		t.Errorf("B's store: %+v, want %d hits and no puts", stats, cells)
 	}
 }
 

@@ -21,7 +21,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServerCfg(config{cache: st, objects: st, stderr: &bytes.Buffer{}}))
+	ts := httptest.NewServer(newServerCfg(config{store: st, stderr: &bytes.Buffer{}}))
 	t.Cleanup(ts.Close)
 
 	id, cells := submit(t, ts, tinySpec)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/fleet"
@@ -25,108 +23,6 @@ type TuneSpec = tune.Spec
 // TuneReply is the POST /tune response.
 type TuneReply struct {
 	ID string `json:"id"`
-}
-
-// tuneJob is the dynamic state of one tune job: the searched progress
-// counts (evaluations, not grid cells — hillclimb's total grows as it
-// walks), the terminal state, and the report. It plays the ticket's
-// role for tune jobs: same states, same SSE event shape, same
-// monotonic counters.
-type tuneJob struct {
-	mu     sync.Mutex
-	done   int
-	total  int
-	state  string
-	errMsg string
-	report *tune.Report
-	subs   map[chan struct{}]bool
-}
-
-func newTuneJob() *tuneJob {
-	return &tuneJob{state: stateRunning, subs: make(map[chan struct{}]bool)}
-}
-
-// notifyLocked pings every subscriber without blocking; a full ping
-// channel means a notification is already pending, which coalesces.
-func (tj *tuneJob) notifyLocked() {
-	for ch := range tj.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// setProgress advances the counters monotonically (the tuner reports
-// batch totals before results, and the queue forwards intra-batch
-// completion, so updates interleave).
-func (tj *tuneJob) setProgress(done, total int) {
-	tj.mu.Lock()
-	defer tj.mu.Unlock()
-	if done > tj.done {
-		tj.done = done
-	}
-	if total > tj.total {
-		tj.total = total
-	}
-	tj.notifyLocked()
-}
-
-func (tj *tuneJob) setDone(done int) {
-	tj.mu.Lock()
-	defer tj.mu.Unlock()
-	if done > tj.done {
-		tj.done = done
-		tj.notifyLocked()
-	}
-}
-
-func (tj *tuneJob) doneNow() int {
-	tj.mu.Lock()
-	defer tj.mu.Unlock()
-	return tj.done
-}
-
-func (tj *tuneJob) finish(rep *tune.Report, err error) {
-	tj.mu.Lock()
-	defer tj.mu.Unlock()
-	if err != nil {
-		tj.state = stateFailed
-		tj.errMsg = err.Error()
-	} else {
-		tj.state = stateDone
-		tj.report = rep
-	}
-	tj.notifyLocked()
-}
-
-// snapshot returns the job's SSE event and whether it is terminal.
-func (tj *tuneJob) snapshot() (Event, bool) {
-	tj.mu.Lock()
-	defer tj.mu.Unlock()
-	return Event{Done: tj.done, Total: tj.total, State: tj.state}, tj.state != stateRunning
-}
-
-func (tj *tuneJob) result() (rep *tune.Report, errMsg string, terminal bool) {
-	tj.mu.Lock()
-	defer tj.mu.Unlock()
-	return tj.report, tj.errMsg, tj.state != stateRunning
-}
-
-// subscribe registers a ping channel, pre-loaded so late subscribers
-// immediately see the current (possibly terminal) state — the ticket
-// subscription's contract.
-func (tj *tuneJob) subscribe() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
-	ch <- struct{}{}
-	tj.mu.Lock()
-	tj.subs[ch] = true
-	tj.mu.Unlock()
-	return ch, func() {
-		tj.mu.Lock()
-		delete(tj.subs, ch)
-		tj.mu.Unlock()
-	}
 }
 
 // handleTune validates a tune spec and starts the search
@@ -153,26 +49,19 @@ func (s *server) handleTune(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tj := newTuneJob()
-	s.mu.Lock()
-	s.seq++
-	j := &job{id: "job-" + strconv.Itoa(s.seq), spec: tsp.Spec, tuneSpec: &tsp, tune: tj}
-	s.byID[j.id] = j
-	s.ids = append(s.ids, j.id)
-	s.evictLocked()
-	s.mu.Unlock()
-	go s.runTune(tj, tsp)
+	j := s.addJob(tsp.Spec, &tsp, 0)
+	go s.runTune(j, tsp)
 	writeJSON(w, http.StatusAccepted, TuneReply{ID: j.id})
 }
 
-func (s *server) runTune(tj *tuneJob, tsp TuneSpec) {
+func (s *server) runTune(j *job, tsp TuneSpec) {
 	tuner := tune.Tuner{
-		Runner:     tuneRunner{s: s, quality: tsp.QualityName(), priority: tsp.Priority, tj: tj},
-		OnProgress: tj.setProgress,
+		Runner:     tuneRunner{s: s, quality: tsp.QualityName(), priority: tsp.Priority, j: j},
+		OnProgress: j.setProgress,
 		Metrics:    s.tuneM,
 	}
 	rep, err := tuner.Run(tsp)
-	tj.finish(rep, err)
+	j.finish(rep, err)
 }
 
 // tuneRunner is the daemon's tune.Runner: every evaluation batch is
@@ -184,7 +73,7 @@ type tuneRunner struct {
 	s        *server
 	quality  string
 	priority int
-	tj       *tuneJob
+	j        *job
 }
 
 func (tr tuneRunner) Execute(reqs []sweep.Request) (*sweep.ResultSet, error) {
@@ -219,11 +108,11 @@ func (tr tuneRunner) Execute(reqs []sweep.Request) (*sweep.ResultSet, error) {
 		}
 		break
 	}
-	base := tr.tj.doneNow()
+	before, _ := tr.j.event()
 	ch, cancel := ticket.Subscribe()
 	defer cancel()
 	for p := range ch {
-		tr.tj.setDone(base + p.Done)
+		tr.j.setProgress(before.Done+p.Done, 0)
 		if p.Finished {
 			break
 		}
@@ -233,68 +122,4 @@ func (tr tuneRunner) Execute(reqs []sweep.Request) (*sweep.ResultSet, error) {
 		return nil, fmt.Errorf("cell queue ticket ended without results")
 	}
 	return set, set.Err()
-}
-
-// handleTuneEvents streams a tune job's progress as SSE — the same
-// event shape and termination contract as sweep jobs.
-func (s *server) handleTuneEvents(w http.ResponseWriter, r *http.Request, j *job) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	ch, cancel := j.tune.subscribe()
-	defer cancel()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ch:
-			ev, terminal := j.tune.snapshot()
-			if _, err := io.WriteString(w, "data: "); err != nil {
-				return
-			}
-			if err := enc.Encode(ev); err != nil { // Encode appends the \n
-				return
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return
-			}
-			fl.Flush()
-			if terminal {
-				return
-			}
-		}
-	}
-}
-
-// handleTuneResults serves a finished tune job's report — byte-
-// identical to swpfbench -tune with the same spec (both go through
-// tune.Report's emitters).
-func (s *server) handleTuneResults(w http.ResponseWriter, r *http.Request, j *job) {
-	rep, errMsg, terminal := j.tune.result()
-	if !terminal {
-		ev, _ := j.tune.snapshot()
-		writeError(w, http.StatusConflict, "job %s not finished (%d/%d cells)", j.id, ev.Done, ev.Total)
-		return
-	}
-	if errMsg != "" {
-		writeError(w, http.StatusInternalServerError, "job %s failed: %v", j.id, errMsg)
-		return
-	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		rep.WriteJSON(w)
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv")
-		rep.WriteCSV(w)
-	default:
-		writeError(w, http.StatusBadRequest, "unknown format %q (have json, csv)", format)
-	}
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"net"
+	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/workloads"
 )
@@ -264,49 +265,43 @@ func TestWorkerKillMidGrid(t *testing.T) {
 	}
 }
 
-// TestDeadStorePeer is the degradation companion: a coordinator whose
-// store peer is unreachable keeps serving — reads fall back to local,
-// writes are dropped after bounded retries, results stay correct.
-func TestDeadStorePeer(t *testing.T) {
-	// Grab a port nothing listens on.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestObjectWritesRefused: no route writes an object into the
+// coordinator's store by key. A PUT of a fabricated object under a
+// cell's store key is refused, and a job over that cell still returns
+// exactly what a direct run returns.
+func TestObjectWritesRefused(t *testing.T) {
+	f := StartFleet(t, FleetConfig{Workers: 1, StoreDir: t.TempDir()})
+
+	sp := tinySpec{workloads: "IS", systems: "A53", variants: "plain"}
+	// Keys depend on the request and the salt, not on the directory.
+	keys, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := "http://" + ln.Addr().String()
-	ln.Close()
+	key := keys.Key(sp.grid(t).Expand()[0])
+	forged := fmt.Sprintf(`{"Key":%q,"Result":{"Checksum":7,"Cycles":1}}`, key)
+	req, err := http.NewRequest(http.MethodPut, f.URL+"/objects/"+key, strings.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("PUT /objects/{key} = %d, want 404 or 405", resp.StatusCode)
+	}
 
-	f := StartFleet(t, FleetConfig{Workers: 1, StoreDir: t.TempDir(), Peer: dead})
-
-	sp := tinySpec{workloads: "IS", systems: "A53", variants: "plain,auto"}
 	id, err := submitWait(f, sp)
 	if err != nil {
-		t.Fatalf("submit against dead peer: %v", err)
+		t.Fatalf("submit: %v\ncoordinator stderr:\n%s", err, f.CoordinatorStderr())
 	}
-	wantCSV, _ := sp.direct(t)
+	wantCSV, wantJSON := sp.direct(t)
 	if got := f.Swpfctl("results", "-id", id, "-format", "csv"); got != wantCSV {
-		t.Errorf("results with dead peer differ from direct run:\n got: %q\nwant: %q", got, wantCSV)
+		t.Errorf("results differ from direct run:\n got: %q\nwant: %q", got, wantCSV)
 	}
-
-	// The breaker observes the failures and the write-behind queue
-	// drops its replications; give the async writer a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		fs := f.Stats()
-		if fs.Peer == nil {
-			t.Fatal("no peer stats on /fleet")
-		}
-		if !fs.Peer.Up && fs.Peer.Dropped > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peer never marked down: up=%v dropped=%d", fs.Peer.Up, fs.Peer.Dropped)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	// Local results survived the peer outage.
-	if fs := f.Stats(); fs.Store.Puts != 2 {
-		t.Errorf("store puts = %d, want 2", fs.Store.Puts)
+	if got := f.Swpfctl("results", "-id", id, "-format", "json"); got != wantJSON {
+		t.Errorf("JSON results differ from direct run:\n got: %q\nwant: %q", got, wantJSON)
 	}
 }

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"slices"
 	"testing"
@@ -291,21 +292,57 @@ func TestImageLayout(t *testing.T) {
 	}
 }
 
+// hugeAllocTrace holds a single Alloc event far past MaxAllocBytes.
+func hugeAllocTrace() *trace.Trace {
+	w := trace.NewWriter()
+	w.Alloc(1 << 50)
+	w.Finish()
+	return w.Close(trace.Meta{Workload: "huge"}, trace.Summary{})
+}
+
+// TestReplayOversizedAllocFails: a CRC-valid trace whose Alloc event
+// asks for 2^50 bytes fails a replay on an IMP machine, which rebuilds
+// memory from Alloc events, with an error instead of a makeslice
+// panic. A stream-only machine never builds that memory and replays
+// it.
+func TestReplayOversizedAllocFails(t *testing.T) {
+	tr, err := trace.Decode(hugeAllocTrace().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.HWPrefetcher = "imp"
+	_, err = Replay(tr, sim.NewCoreModel(cfg))
+	var fault *Fault
+	if !errors.As(err, &fault) || fault.Op != ir.OpAlloc {
+		t.Fatalf("IMP replay: err = %v, want an alloc Fault", err)
+	}
+	cfg.HWPrefetcher = "stride"
+	if _, err := Replay(tr, sim.NewCoreModel(cfg)); err != nil {
+		t.Fatalf("stream-only replay: %v", err)
+	}
+}
+
 // FuzzImage feeds arbitrary traces through the replay path — Decode,
-// NewImage, then Replay on a machine whose prefetcher does not peek —
-// which must return an error or statistics and never panic. Inputs are
-// traces without their CRC trailer: the target seals each one, so that
-// mutations reach the footer and the event stream instead of stopping
-// at the checksum.
+// NewImage, then Replay — which must never panic. On a machine whose
+// prefetcher does not peek, replay must return statistics. On an IMP
+// machine, which rebuilds memory from the trace's Alloc and Poke
+// events, an invalid event may fail the replay with an error. Inputs
+// are traces without their CRC trailer: the target seals each one, so
+// that mutations reach the footer and the event stream instead of
+// stopping at the checksum.
 func FuzzImage(f *testing.F) {
 	recorded, _ := recordKernel(f, benchIndirectSrc, "kernel", sim.DefaultConfig(), 8)
-	for _, tr := range []*trace.Trace{synthTrace(1), recorded} {
+	for _, tr := range []*trace.Trace{synthTrace(1), recorded, hugeAllocTrace()} {
 		enc := tr.Encode()
 		f.Add(enc[:len(enc)-4])
 	}
 	cfg := sim.DefaultConfig()
 	cfg.HWPrefetcher = "stride"
-	c := sim.NewCoreModel(cfg)
+	stream := sim.NewCoreModel(cfg)
+	cfg = sim.DefaultConfig()
+	cfg.HWPrefetcher = "imp"
+	imp := sim.NewCoreModel(cfg)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		tr, err := trace.Decode(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
 		if err != nil {
@@ -315,8 +352,9 @@ func FuzzImage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := im.Replay(c); err != nil {
+		if _, err := im.Replay(stream); err != nil {
 			t.Fatalf("replay of a decoded image failed: %v", err)
 		}
+		im.Replay(imp)
 	})
 }

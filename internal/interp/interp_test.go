@@ -224,6 +224,25 @@ entry:
 	}
 }
 
+// TestAllocPastCapFaults: an IR alloc past MaxAllocBytes fails the run
+// with an alloc Fault before the host allocator sees it.
+func TestAllocPastCapFaults(t *testing.T) {
+	src := `module m
+func f(%n: i64) -> i64 {
+entry:
+  %buf = alloc %n, 8
+  %v = load i64, %buf
+  ret %v
+}
+`
+	mach := New(ir.MustParse(src), sim.DefaultConfig())
+	_, err := mach.Run("f", MaxAllocBytes/8+1)
+	var fault *Fault
+	if !errors.As(err, &fault) || fault.Op != ir.OpAlloc {
+		t.Fatalf("err = %v, want an alloc Fault", err)
+	}
+}
+
 func TestGuardGapCatchesOverrun(t *testing.T) {
 	// One element past the end must fault, not silently read the next
 	// allocation.

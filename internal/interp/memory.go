@@ -56,6 +56,13 @@ const (
 	guardGap = 1 << 14 // space between allocations
 )
 
+// MaxAllocBytes caps the total bytes one address space may allocate.
+// The largest registered workload allocates 37 MiB in total (CG at
+// full size), so only a runaway IR alloc or a corrupt or hostile trace
+// reaches the cap — which would otherwise panic in make or exhaust
+// host memory.
+const MaxAllocBytes = 1 << 30
+
 // NewMemory returns an empty address space.
 func NewMemory() *Memory {
 	return &Memory{next: memBase}
@@ -66,6 +73,10 @@ func NewMemory() *Memory {
 func (m *Memory) Alloc(size int64) (int64, error) {
 	if size < 0 {
 		return 0, &Fault{Op: ir.OpAlloc, Msg: fmt.Sprintf("negative allocation size %d", size)}
+	}
+	if size > MaxAllocBytes-m.BytesAllocated {
+		return 0, &Fault{Op: ir.OpAlloc, Msg: fmt.Sprintf("allocation of %d bytes exceeds the %d-byte address-space cap (%d already allocated)",
+			size, MaxAllocBytes, m.BytesAllocated)}
 	}
 	base := m.next
 	m.segs = append(m.segs, segment{base: base, data: make([]byte, size)})

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,31 @@ func TestMemoryNegativeAllocFaults(t *testing.T) {
 	m := NewMemory()
 	if _, err := m.Alloc(-1); err == nil {
 		t.Error("negative allocation accepted")
+	}
+}
+
+// TestMemoryAllocCap: an address space refuses, with an alloc Fault,
+// any allocation that would take its total past MaxAllocBytes — one
+// huge request or the last of many — and counts nothing for it.
+func TestMemoryAllocCap(t *testing.T) {
+	m := NewMemory()
+	var fault *Fault
+	if _, err := m.Alloc(1 << 50); !errors.As(err, &fault) || fault.Op != ir.OpAlloc {
+		t.Fatalf("2^50-byte alloc: err = %v, want an alloc Fault", err)
+	}
+	// Stand in for earlier allocations without making them.
+	m.BytesAllocated = MaxAllocBytes - 4096
+	if _, err := m.Alloc(4097); !errors.As(err, &fault) {
+		t.Fatalf("alloc one byte past the cap: err = %v, want a Fault", err)
+	}
+	if _, err := m.Alloc(4096); err != nil {
+		t.Fatalf("alloc up to the cap: %v", err)
+	}
+	if _, err := m.Alloc(1); err == nil {
+		t.Fatal("alloc on a full address space accepted")
+	}
+	if m.BytesAllocated != MaxAllocBytes {
+		t.Errorf("BytesAllocated = %d, want %d", m.BytesAllocated, MaxAllocBytes)
 	}
 }
 

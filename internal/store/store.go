@@ -75,11 +75,6 @@ type Store struct {
 	// them).
 	mu sync.Mutex
 
-	// peer, when non-nil, is the HTTP store-peer this store reads
-	// through and replicates to (see peer.go). Set once via SetPeer
-	// before concurrent use.
-	peer *peer
-
 	hits, misses, puts                atomic.Int64
 	traceHits, traceMisses, tracePuts atomic.Int64
 }
@@ -256,23 +251,9 @@ func (s *Store) objectPath(key string) string {
 
 // Get returns the cached result for the request, or (nil, false). An
 // unreadable or mismatched object is treated as a miss, never an
-// error: the caller will recompute and Put over it. When a peer is
-// attached (SetPeer), a local miss falls through to the peer:
-// read-through fetches are validated, materialized locally and served
-// like local hits; a down peer degrades to local-only.
+// error: the caller will recompute and Put over it.
 func (s *Store) Get(r sweep.Request) (*core.Result, bool) {
-	key := s.Key(r)
-	o, ok := s.loadObject(key)
-	if !ok && s.peer != nil {
-		if data, found := s.peer.fetch(key); found {
-			if po, valid := decodeObject(data, key); valid {
-				// Materialize locally (best-effort) so the next lookup
-				// does not pay the network again.
-				s.writeObject(key, data)
-				o, ok = po, true
-			}
-		}
-	}
+	o, ok := s.loadObject(s.Key(r))
 	if !ok {
 		s.misses.Add(1)
 		return nil, false
@@ -300,19 +281,13 @@ func (s *Store) Get(r sweep.Request) (*core.Result, bool) {
 	}, true
 }
 
-// loadObject reads and validates one local object by key.
+// loadObject reads one object by key. An object that does not decode,
+// or that names a different key, is a miss.
 func (s *Store) loadObject(key string) (*object, bool) {
 	data, err := os.ReadFile(s.objectPath(key))
 	if err != nil {
 		return nil, false
 	}
-	return decodeObject(data, key)
-}
-
-// decodeObject validates raw object bytes against the key they claim
-// to live under — the guard that keeps a corrupt or mislabelled peer
-// response from ever entering the store.
-func decodeObject(data []byte, key string) (*object, bool) {
 	var o object
 	if json.Unmarshal(data, &o) != nil || o.Key != key {
 		return nil, false
@@ -320,39 +295,9 @@ func decodeObject(data []byte, key string) (*object, bool) {
 	return &o, true
 }
 
-// writeObject atomically writes pre-validated object bytes and indexes
-// them; failures are swallowed (persistence is best-effort).
-func (s *Store) writeObject(key string, data []byte) {
-	o, ok := decodeObject(data, key)
-	if !ok {
-		return
-	}
-	path := s.objectPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	if err := atomicWrite(path, data); err != nil {
-		return
-	}
-	s.puts.Add(1)
-	line := indexLine{Key: key, Entry: IndexEntry{
-		Workload: o.Workload,
-		Params:   o.Params,
-		System:   o.System,
-		Variant:  o.Variant,
-		Options:  o.Options,
-		Salt:     o.Salt,
-	}}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appendIndexLocked(line)
-}
-
 // Put persists the result under the request's key and records it in
 // the index. The object write is atomic, so concurrent Puts of the
 // same cell (identical content) and interrupted sweeps are both safe.
-// With a peer attached, the object is also queued for write-behind
-// replication (see peer.go); replication failures never fail the Put.
 func (s *Store) Put(r sweep.Request, res *core.Result) error {
 	key := s.Key(r)
 	o := object{
@@ -402,12 +347,8 @@ func (s *Store) Put(r sweep.Request, res *core.Result) error {
 		Salt:     o.Salt,
 	}}
 	s.mu.Lock()
-	ierr := s.appendIndexLocked(line)
-	s.mu.Unlock()
-	if s.peer != nil {
-		s.peer.enqueue(key, data)
-	}
-	return ierr
+	defer s.mu.Unlock()
+	return s.appendIndexLocked(line)
 }
 
 // Index loads the catalogue from disk: key -> coordinates. The index

@@ -235,8 +235,8 @@ func TestCachedResultFields(t *testing.T) {
 	}
 }
 
-// TestCorruptObjectIsMiss: an unreadable object degrades to a miss and
-// is repaired by the next Put.
+// TestCorruptObjectIsMiss: an unreadable object, or one that names a
+// different key, degrades to a miss and is repaired by the next Put.
 func TestCorruptObjectIsMiss(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -257,17 +257,22 @@ func TestCorruptObjectIsMiss(t *testing.T) {
 
 	key := s.Key(req)
 	path := filepath.Join(s.Dir(), "objects", key[:2], key+".json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(req); ok {
-		t.Fatal("corrupt object served as a hit")
-	}
-	if err := s.Put(req, res); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get(req); !ok {
-		t.Fatal("re-put did not repair corrupt object")
+	for _, corrupt := range []string{
+		"{not json",
+		`{"Key":"deadbeef","Result":{"Checksum":42}}`, // well-formed, wrong key
+	} {
+		if err := os.WriteFile(path, []byte(corrupt), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get(req); ok {
+			t.Fatalf("corrupt object %q served as a hit", corrupt)
+		}
+		if err := s.Put(req, res); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get(req); !ok {
+			t.Fatalf("re-put did not repair corrupt object %q", corrupt)
+		}
 	}
 }
 

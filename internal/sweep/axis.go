@@ -31,13 +31,6 @@ type Axis[T comparable] struct {
 	Name func(T) string
 	// Default is the selection an empty selector denotes.
 	Default []T
-	// Unknown, when non-nil, renders the unknown-token error instead of
-	// the standard message — a wire-compatibility shim: the daemon's
-	// error bodies predate this parser and are pinned byte-for-byte by
-	// its error-contract tests, so the legacy axes keep their historical
-	// spellings. Returning nil declines, selecting the standard message.
-	// New axes should leave this unset.
-	Unknown func(token string) error
 }
 
 // Names returns the wire spelling of every accepted value, in
@@ -68,11 +61,6 @@ func (a Axis[T]) Parse(s string) ([]T, error) {
 			}
 		}
 		if !found {
-			if a.Unknown != nil {
-				if err := a.Unknown(tok); err != nil {
-					return nil, err
-				}
-			}
 			pkg := a.Prefix
 			if pkg == "" {
 				pkg = "sweep"

@@ -144,9 +144,6 @@ func VariantAxis() Axis[core.Variant] {
 		Values:  Variants(),
 		Name:    func(v core.Variant) string { return string(v) },
 		Default: []core.Variant{core.VariantPlain, core.VariantAuto},
-		Unknown: func(tok string) error {
-			return fmt.Errorf("sweep: unknown variant %q (have %v)", tok, Variants())
-		},
 	}
 }
 
@@ -209,12 +206,6 @@ func ExecModeAxis() Axis[core.ExecMode] {
 		Values:  ExecModes(),
 		Name:    func(e core.ExecMode) string { return string(e) },
 		Default: []core.ExecMode{core.ExecDirect},
-		Unknown: func(tok string) error {
-			if _, err := core.ParseExecMode(tok); err != nil {
-				return fmt.Errorf("sweep: %w", err)
-			}
-			return nil // "" (core-normalized to direct): standard message
-		},
 	}
 }
 
