@@ -32,7 +32,17 @@ import (
 // minutes range; cmd/swpfbench regenerates the full-size tables.
 const q = bench.Quick
 
-// lastCell parses the numeric value at table position (row, col).
+// figure regenerates one figure's table.
+func figure(b *testing.B, f bench.Figure) *bench.Table {
+	b.Helper()
+	ts, err := bench.Suite{Q: q}.Run(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ts[0]
+}
+
+// cell parses the numeric value at table position (row, col).
 func cell(b *testing.B, t *bench.Table, row, col int) float64 {
 	b.Helper()
 	v, err := strconv.ParseFloat(t.Rows[row][col], 64)
@@ -46,20 +56,14 @@ func cell(b *testing.B, t *bench.Table, row, col int) float64 {
 // and reports the optimal-scheme speedup.
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig2(q)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := figure(b, bench.Fig2)
 		b.ReportMetric(cell(b, t, 3, 1), "optimal-speedup")
 	}
 }
 
 func benchFig4(b *testing.B, system string) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig4(q, system)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := figure(b, bench.Fig4(system))
 		last := len(t.Rows) - 1
 		b.ReportMetric(cell(b, t, last, len(t.Rows[last])-2), "auto-geomean")
 		b.ReportMetric(cell(b, t, last, len(t.Rows[last])-1), "manual-geomean")
@@ -81,10 +85,7 @@ func BenchmarkFig4A53(b *testing.B) { benchFig4(b, "A53") }
 // BenchmarkFig5 regenerates figure 5 (indirect-only vs indirect+stride).
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig5(q)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := figure(b, bench.Fig5)
 		last := len(t.Rows) - 1
 		b.ReportMetric(cell(b, t, last, 1), "indirect-only-geomean")
 		b.ReportMetric(cell(b, t, last, 2), "with-stride-geomean")
@@ -93,10 +94,7 @@ func BenchmarkFig5(b *testing.B) {
 
 func benchFig6(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig6(q, name)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := figure(b, bench.Fig6(name))
 		// Report the c=64 column (index 5) of the first system row, the
 		// paper's chosen default.
 		b.ReportMetric(cell(b, t, 0, 5), "haswell-c64-speedup")
@@ -118,10 +116,7 @@ func BenchmarkFig6HJ2(b *testing.B) { benchFig6(b, "HJ-2") }
 // BenchmarkFig7 regenerates figure 7 (HJ-8 stagger depth).
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig7(q)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := figure(b, bench.Fig7)
 		b.ReportMetric(cell(b, t, 0, 3), "haswell-depth3-speedup")
 	}
 }
@@ -129,10 +124,7 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkFig8 regenerates figure 8 (instruction overhead, Haswell).
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig8(q)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := figure(b, bench.Fig8)
 		b.ReportMetric(cell(b, t, 0, 1), "is-extra-instr-pct")
 	}
 }
@@ -140,10 +132,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates figure 9 (multicore bandwidth, IS/Haswell).
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig9(q)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := figure(b, bench.Fig9)
 		b.ReportMetric(cell(b, t, 2, 1), "4core-noprefetch-throughput")
 		b.ReportMetric(cell(b, t, 2, 2), "4core-prefetch-throughput")
 	}
@@ -152,10 +141,7 @@ func BenchmarkFig9(b *testing.B) {
 // BenchmarkFig10 regenerates figure 10 (page size vs prefetch benefit).
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := bench.Fig10(q)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := figure(b, bench.Fig10)
 		b.ReportMetric(cell(b, t, 0, 1), "is-small-pages-speedup")
 		b.ReportMetric(cell(b, t, 0, 2), "is-huge-pages-speedup")
 	}

@@ -1,8 +1,8 @@
 // Command swpfbench regenerates the figures of the evaluation section
 // of Ainsworth & Jones (CGO 2017) on the simulated machines, and runs
-// ad-hoc experiment grids. Independent simulations fan out across a
-// worker pool (-jobs, default all CPUs) with bit-identical results to
-// a serial run.
+// ad-hoc experiment grids. The cells of every selected figure run as
+// one deduplicated sweep on a worker pool (-jobs, default all CPUs),
+// with tables byte-identical to a serial run.
 //
 // Usage:
 //
@@ -221,71 +221,23 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		return set.WriteCSV(stdout)
 	}
 
-	s := bench.Suite{Q: q, Jobs: *jobs, Cache: cache, OnPutError: onPutError}
-
-	emit := func(t *bench.Table, err error) error {
-		if err != nil {
-			return err
-		}
+	figs, err := bench.Select(*exp, *system, *wl)
+	if err != nil {
+		return err
+	}
+	log.Debug("experiment", "exp", *exp, "quick", *quick, "figures", len(figs))
+	tables, err := bench.Suite{Q: q, Jobs: *jobs, Cache: cache, OnPutError: onPutError}.Run(figs...)
+	if err != nil {
+		return err
+	}
+	for _, t := range tables {
 		if *csv {
 			fmt.Fprint(stdout, t.CSV())
-			return nil
+		} else {
+			fmt.Fprintln(stdout, t.String())
 		}
-		fmt.Fprintln(stdout, t.String())
-		return nil
 	}
-	emitAll := func(ts []*bench.Table, err error) error {
-		if err != nil {
-			return err
-		}
-		for _, t := range ts {
-			if *csv {
-				fmt.Fprint(stdout, t.CSV())
-			} else {
-				fmt.Fprintln(stdout, t.String())
-			}
-		}
-		return nil
-	}
-
-	log.Debug("experiment", "exp", *exp, "quick", *quick)
-	switch *exp {
-	case "all":
-		return s.RunAll(stdout)
-	case "fig2":
-		return emit(s.Fig2())
-	case "fig4":
-		if *system != "" {
-			return emit(s.Fig4(*system))
-		}
-		return emitAll(s.Fig4All())
-	case "fig5":
-		return emit(s.Fig5())
-	case "fig6":
-		if *wl != "" {
-			return emit(s.Fig6(*wl))
-		}
-		return emitAll(s.Fig6All())
-	case "fig7":
-		return emit(s.Fig7())
-	case "fig8":
-		return emit(s.Fig8())
-	case "fig9":
-		return emit(s.Fig9())
-	case "fig10":
-		return emit(s.Fig10())
-	case "swhw":
-		if *system != "" {
-			return emit(s.FigSWHW(*system))
-		}
-		return emitAll(s.FigSWHWAll())
-	case "cores":
-		return emit(s.FigCores())
-	case "lookahead":
-		return emit(s.FigLookahead(*wl, *system))
-	default:
-		return fmt.Errorf("unknown experiment %q", *exp)
-	}
+	return nil
 }
 
 // writeAxes prints every grid axis the sweep and figure modes accept —

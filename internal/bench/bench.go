@@ -1,8 +1,10 @@
 // Package bench regenerates every figure of the evaluation section
 // (§6) of Ainsworth & Jones (CGO 2017) on the simulated machines. Each
-// FigN function returns a Table whose rows correspond to the bars or
-// series of the paper's figure; cmd/swpfbench prints them and
-// bench_test.go exposes each as a testing.B benchmark.
+// figure is a Figure: a view over one experiment matrix that builds a
+// Table whose rows correspond to the bars or series of the paper's
+// figure. Suite.Run executes the cells of every selected figure as one
+// deduplicated sweep; cmd/swpfbench prints the tables and the
+// repository's bench_test.go exposes each as a testing.B benchmark.
 package bench
 
 import (
@@ -34,23 +36,18 @@ func (q Quality) PoolName() string {
 	return "full"
 }
 
-// workloadSet returns the benchmark suite at the chosen quality. The
-// sizes live in internal/workloads (Quick/All) so the daemon's pools,
-// the tuner and the figures all draw from one registry.
-func workloadSet(q Quality) []*workloads.Workload {
-	if q == Quick {
-		return workloads.Quick()
-	}
-	return workloads.All()
+// WorkloadSet returns the benchmark suite at the chosen quality: the
+// memoized pool of internal/workloads, so the daemon, the tuner, the
+// figures and cmd/swpfbench's -sweep mode all draw from one registry
+// and build each input once.
+func WorkloadSet(q Quality) []*workloads.Workload {
+	ws, _ := workloads.PoolByQuality(q.PoolName()) // both names are known pools
+	return ws
 }
 
-// WorkloadSet exposes the benchmark suite at the chosen quality — the
-// workload pool cmd/swpfbench's -sweep mode selects from.
-func WorkloadSet(q Quality) []*workloads.Workload { return workloadSet(q) }
-
-// workloadByName builds one suite workload at the chosen quality.
+// workloadByName returns one suite workload at the chosen quality.
 func workloadByName(q Quality, name string) *workloads.Workload {
-	for _, w := range workloadSet(q) {
+	for _, w := range WorkloadSet(q) {
 		if w.Name == name || strings.HasPrefix(w.Name, name) {
 			return w
 		}
@@ -106,13 +103,6 @@ func (t *Table) String() string {
 		fmt.Fprintf(&sb, "note: %s\n", t.Note)
 	}
 	return sb.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // geomean of a slice, ignoring non-positive entries.

@@ -1,11 +1,62 @@
 package bench
 
 import (
-	"bytes"
+	"fmt"
+	"os"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/sim"
+	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
+
+// quickMatrix is the quick-size experiment matrix every figure test
+// reads: planned from every figure and run once per process at Jobs 8.
+// Under -short it holds only the figures the short suite checks (2, 9
+// and 10), which CI runs under the race detector.
+var quickMatrix = sync.OnceValues(func() (*matrix, error) {
+	figs := []Figure{Fig2, Fig9, Fig10}
+	if !testing.Short() {
+		var err error
+		if figs, err = Select("all", "", ""); err != nil {
+			return nil, err
+		}
+	}
+	m, err := plan(Quick, figs)
+	if err != nil {
+		return nil, err
+	}
+	return m, m.run(sweep.Runner{Jobs: 8})
+})
+
+// quickTables renders figures from the shared quick matrix.
+func quickTables(t *testing.T, figs ...Figure) []*Table {
+	t.Helper()
+	m, err := quickMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := m.render(Quick, figs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tables
+}
+
+// quickTable renders and logs one figure from the shared quick matrix.
+func quickTable(t *testing.T, f Figure) *Table {
+	t.Helper()
+	tbl := quickTables(t, f)[0]
+	t.Log("\n" + tbl.String())
+	return tbl
+}
 
 func parseCell(t *testing.T, s string) float64 {
 	t.Helper()
@@ -48,11 +99,7 @@ func TestTableString(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	tbl, err := Fig2(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
+	tbl := quickTable(t, Fig2)
 	intuitive := parseCell(t, rowByName(t, tbl, "Intuitive")[1])
 	optimal := parseCell(t, rowByName(t, tbl, "Optimal")[1])
 	tooBig := parseCell(t, rowByName(t, tbl, "Offset too big")[1])
@@ -78,11 +125,7 @@ func skipInShort(t *testing.T) {
 
 func TestFig4HaswellShape(t *testing.T) {
 	skipInShort(t)
-	tbl, err := Fig4(Quick, "Haswell")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
+	tbl := quickTable(t, Fig4("Haswell"))
 	g := rowByName(t, tbl, "Geomean")
 	auto := parseCell(t, g[1])
 	manual := parseCell(t, g[2])
@@ -96,11 +139,7 @@ func TestFig4HaswellShape(t *testing.T) {
 
 func TestFig4PhiICCColumn(t *testing.T) {
 	skipInShort(t)
-	tbl, err := Fig4(Quick, "XeonPhi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
+	tbl := quickTable(t, Fig4("XeonPhi"))
 	if len(tbl.Columns) != 4 {
 		t.Fatalf("Phi table needs the ICC column: %v", tbl.Columns)
 	}
@@ -116,18 +155,21 @@ func TestFig4PhiICCColumn(t *testing.T) {
 	}
 }
 
+// TestFig4UnknownSystem: unknown names fail while the figures are
+// planned, before anything is simulated.
 func TestFig4UnknownSystem(t *testing.T) {
-	if _, err := Fig4(Quick, "M4"); err == nil {
-		t.Error("unknown system accepted")
+	for _, f := range []Figure{Fig4("M4"), FigSWHW("M4"), Fig6("nope")} {
+		if _, err := (Suite{Q: Quick}).Run(f); err == nil {
+			t.Error("unknown system or benchmark accepted")
+		}
+	}
+	if _, err := Select("fig99", "", ""); err == nil {
+		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestFig9Shape(t *testing.T) {
-	tbl, err := Fig9(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
+	tbl := quickTable(t, Fig9)
 	one := rowByName(t, tbl, "1")
 	four := rowByName(t, tbl, "4")
 	base1 := parseCell(t, one[1])
@@ -149,11 +191,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	tbl, err := Fig10(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
+	tbl := quickTable(t, Fig10)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("want 3 rows, got %d", len(tbl.Rows))
 	}
@@ -168,11 +206,7 @@ func TestFig10Shape(t *testing.T) {
 
 func TestFig6QuickSingle(t *testing.T) {
 	skipInShort(t)
-	tbl, err := Fig6(Quick, "IS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
+	tbl := quickTable(t, Fig6("IS"))
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("want 4 systems, got %d rows", len(tbl.Rows))
 	}
@@ -183,11 +217,7 @@ func TestFig6QuickSingle(t *testing.T) {
 
 func TestFig7QuickShape(t *testing.T) {
 	skipInShort(t)
-	tbl, err := Fig7(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
+	tbl := quickTable(t, Fig7)
 	// On the in-order systems deeper staggering must help beyond depth 1.
 	for _, sys := range []string{"A53", "XeonPhi"} {
 		r := rowByName(t, tbl, sys)
@@ -201,11 +231,7 @@ func TestFig7QuickShape(t *testing.T) {
 
 func TestFig8QuickShape(t *testing.T) {
 	skipInShort(t)
-	tbl, err := Fig8(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
+	tbl := quickTable(t, Fig8)
 	is := parseCell(t, rowByName(t, tbl, "IS")[1])
 	g500 := parseCell(t, rowByName(t, tbl, "G500")[1])
 	if is <= 0 {
@@ -218,11 +244,7 @@ func TestFig8QuickShape(t *testing.T) {
 
 func TestFig5QuickShape(t *testing.T) {
 	skipInShort(t)
-	tbl, err := Fig5(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
+	tbl := quickTable(t, Fig5)
 	g := rowByName(t, tbl, "Geomean")
 	only := parseCell(t, g[1])
 	both := parseCell(t, g[2])
@@ -232,25 +254,27 @@ func TestFig5QuickShape(t *testing.T) {
 }
 
 func TestRunAllQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure sweep")
-	}
-	var buf bytes.Buffer
-	if err := RunAll(Quick, &buf); err != nil {
+	skipInShort(t)
+	figs, err := Select("all", "", "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	var sb strings.Builder
+	for _, tbl := range quickTables(t, figs...) {
+		sb.WriteString(tbl.String())
+	}
+	out := sb.String()
 	for _, want := range []string{"Figure 2", "Figure 4", "Figure 5", "Figure 6",
-		"Figure 7", "Figure 8", "Figure 9", "Figure 10", "SW vs HW", "Core models"} {
+		"Figure 7", "Figure 8", "Figure 9", "Figure 10", "SW vs HW", "Core models", "Look-ahead"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("RunAll output missing %q", want)
+			t.Errorf("-exp all output missing %q", want)
 		}
 	}
 }
 
 // TestFigSWHWShape pins the software-vs-hardware comparison to the
-// paper's headline relations on the in-order machines, and requires
-// the figure to be deterministic across worker counts.
+// paper's headline relations on the in-order machines. Its
+// worker-count invariance is TestMatrixJobsInvariant's.
 func TestFigSWHWShape(t *testing.T) {
 	skipInShort(t)
 	// Geomean-row column indices (after the benchmark name).
@@ -261,20 +285,7 @@ func TestFigSWHWShape(t *testing.T) {
 		colIMP    = 6
 		colIMPSW  = 7
 	)
-	tbl, err := Suite{Q: Quick, Jobs: 1}.FigSWHW("A53")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
-	for _, jobs := range []int{2, 8} {
-		again, err := Suite{Q: Quick, Jobs: jobs}.FigSWHW("A53")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.String() != tbl.String() {
-			t.Fatalf("swhw figure differs between jobs=1 and jobs=%d", jobs)
-		}
-	}
+	tbl := quickTable(t, FigSWHW("A53"))
 
 	g := rowByName(t, tbl, "Geomean")
 	sw := parseCell(t, g[colSW])
@@ -303,7 +314,7 @@ func TestFigSWHWShape(t *testing.T) {
 // paper's central observation: an in-order core, unable to overlap
 // misses itself, gains far more from software prefetch than an
 // out-of-order window that already extracts memory-level parallelism.
-// The figure must also be deterministic across worker counts.
+// Its worker-count invariance is TestMatrixJobsInvariant's.
 func TestFigCoresShape(t *testing.T) {
 	skipInShort(t)
 	// Column indices follow sim.CoreModels() order after the name.
@@ -312,20 +323,7 @@ func TestFigCoresShape(t *testing.T) {
 		colOoO      = 2
 		colInOrder  = 3
 	)
-	tbl, err := Suite{Q: Quick, Jobs: 1}.FigCores()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
-	for _, jobs := range []int{2, 8} {
-		again, err := Suite{Q: Quick, Jobs: jobs}.FigCores()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.String() != tbl.String() {
-			t.Fatalf("cores figure differs between jobs=1 and jobs=%d", jobs)
-		}
-	}
+	tbl := quickTable(t, FigCores)
 
 	g := rowByName(t, tbl, "Geomean")
 	interval := parseCell(t, g[colInterval])
@@ -388,23 +386,10 @@ func TestTableCSVAndMarkdown(t *testing.T) {
 // the tuned optimum c* strictly beats both the smallest and the
 // largest look-ahead (too small arrives late, too big evicts early),
 // on both an in-order (A53) and an out-of-order (Haswell) machine.
-// The figure must also be byte-identical for any worker count.
+// Its worker-count invariance is TestMatrixJobsInvariant's.
 func TestLookaheadSensitivityShape(t *testing.T) {
 	skipInShort(t)
-	tbl, err := Suite{Q: Quick, Jobs: 1}.FigLookahead("IS,RA", "A53,Haswell")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tbl.String())
-	for _, jobs := range []int{2, 8} {
-		again, err := Suite{Q: Quick, Jobs: jobs}.FigLookahead("IS,RA", "A53,Haswell")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.String() != tbl.String() {
-			t.Fatalf("lookahead figure differs between jobs=1 and jobs=%d", jobs)
-		}
-	}
+	tbl := quickTable(t, FigLookahead("IS,RA", "A53,Haswell"))
 
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("want 4 workload x system rows, got %d", len(tbl.Rows))
@@ -423,5 +408,233 @@ func TestLookaheadSensitivityShape(t *testing.T) {
 		if bestC <= 1 || bestC >= 1024 {
 			t.Errorf("%s: best c = %v is not interior to the ladder", name, bestC)
 		}
+	}
+}
+
+// TestMatrixJobsInvariant: results never depend on the worker count.
+// The cells of the mechanisms most exposed to scheduling run again
+// serially and must equal the shared run at Jobs 8 field for field:
+// IMP's memory peek (the A53 swhw figure), every core model (cores)
+// and the tuner's look-ahead ladder (lookahead).
+func TestMatrixJobsInvariant(t *testing.T) {
+	skipInShort(t)
+	shared, err := quickMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := plan(Quick, []Figure{FigSWHW("A53"), FigCores, FigLookahead("IS,RA", "A53,Haswell")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.run(sweep.Runner{Jobs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range serial.reqs {
+		j, ok := shared.at[fleet.KeyOf(req)]
+		if !ok {
+			t.Fatalf("%s/%s/%s: not in the shared matrix", req.Workload.Name, req.System.Name, req.Variant)
+		}
+		got, want := *serial.res[i], *shared.res[j]
+		got.Pass, want.Pass = nil, nil // each run's pass report points into its own IR
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/%s/%s %+v: jobs=1 %+v, jobs=8 %+v",
+				req.Workload.Name, req.System.Name, req.Variant, req.Options, got, want)
+		}
+	}
+	t.Logf("%d cells identical at jobs 1 and 8", len(serial.reqs))
+}
+
+// TestQuickTablesGolden: every table of `swpfbench -quick -exp all`,
+// rendered from the shared matrix, is byte-identical to
+// testdata/quick-all.txt. The tables are pinned on amd64 only, because
+// Go may fuse multiply-adds elsewhere and move a rounded digit. After
+// a deliberate statistics change, regenerate the file with
+//
+//	go run ./cmd/swpfbench -quick -exp all > internal/bench/testdata/quick-all.txt
+func TestQuickTablesGolden(t *testing.T) {
+	skipInShort(t)
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("tables are pinned on amd64; this is %s", runtime.GOARCH)
+	}
+	data, err := os.ReadFile("testdata/quick-all.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tables are printed one after another, each followed by a blank
+	// line; no table contains one.
+	want := strings.Split(strings.TrimSuffix(string(data), "\n\n"), "\n\n")
+	figs, err := Select("all", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := quickTables(t, figs...)
+	if len(got) != len(want) {
+		t.Fatalf("%d tables, testdata has %d", len(got), len(want))
+	}
+	for i, tbl := range got {
+		if s := strings.TrimSuffix(tbl.String(), "\n"); s != want[i] {
+			t.Errorf("table %d differs from testdata:\ngot:\n%s\nwant:\n%s", i, s, want[i])
+		}
+	}
+}
+
+// servedCache answers cells from the shared quick matrix and notes
+// every cell looked up more than once.
+type servedCache struct {
+	m            *matrix
+	seen         map[string]bool
+	dups, missed []sweep.Request
+}
+
+func (c *servedCache) Get(r sweep.Request) (*core.Result, bool) {
+	k := fleet.KeyOf(r)
+	if c.seen[k] {
+		c.dups = append(c.dups, r)
+	}
+	c.seen[k] = true
+	i, ok := c.m.at[k]
+	if !ok {
+		c.missed = append(c.missed, r)
+		return nil, false
+	}
+	return c.m.res[i], true
+}
+
+func (c *servedCache) Put(sweep.Request, *core.Result) error { return nil }
+
+// TestSuiteRunOneSweep: -exp all runs as one deduplicated sweep.
+// Served from the shared matrix, Suite.Run looks up every cell exactly
+// once, so no two of its requests share a fleet.KeyOf and no figure
+// runs a sweep of its own; the matrix holds at most 654 cells.
+func TestSuiteRunOneSweep(t *testing.T) {
+	skipInShort(t)
+	m, err := quickMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	figs, err := Select("all", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &servedCache{m: m, seen: make(map[string]bool)}
+	tables, err := Suite{Q: Quick, Cache: c}.Run(figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range c.missed {
+		t.Errorf("%s/%s/%s %+v is not in the shared matrix", r.Workload.Name, r.System.Name, r.Variant, r.Options)
+	}
+	for _, r := range c.dups {
+		t.Errorf("%s/%s/%s %+v looked up again", r.Workload.Name, r.System.Name, r.Variant, r.Options)
+	}
+	if n := len(c.seen); n == 0 || n > 654 {
+		t.Errorf("-exp all ran %d cells, want 1..654", n)
+	}
+	t.Logf("-exp all: %d cells in one sweep", len(c.seen))
+	for i, tbl := range quickTables(t, figs...) {
+		if tables[i].String() != tbl.String() {
+			t.Errorf("Suite.Run and the shared matrix disagree on %q", tbl.Title)
+		}
+	}
+}
+
+// TestSelect: every -exp names its figures in print order, "all"
+// concatenates every experiment and ignores -system and -bench, and
+// the restrictions narrow fig4, fig6, swhw and lookahead. The figures
+// read placeholder results, so nothing is simulated.
+func TestSelect(t *testing.T) {
+	placeholder := func(*workloads.Workload, *sim.Config, core.Variant, core.Options) *core.Result {
+		return &core.Result{}
+	}
+	tables := func(exp, system, bench string) []*Table {
+		t.Helper()
+		figs, err := Select(exp, system, bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*Table
+		for _, f := range figs {
+			tbl, err := f(Quick, placeholder)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, tbl)
+		}
+		return out
+	}
+	want := []string{
+		"Figure 2:",
+		"Figure 4: speedup on Haswell", "Figure 4: speedup on XeonPhi", "Figure 4: speedup on A57", "Figure 4: speedup on A53",
+		"Figure 5:",
+		"distance, IS", "distance, CG", "distance, RA", "distance, HJ-2",
+		"Figure 7:", "Figure 8:", "Figure 9:", "Figure 10:",
+		"baseline, Haswell", "baseline, XeonPhi", "baseline, A57", "baseline, A53",
+		"Core models:", "Look-ahead sensitivity",
+	}
+	all := tables("all", "A53", "CG")
+	if len(all) != len(want) {
+		t.Fatalf("-exp all selects %d figures, want %d", len(all), len(want))
+	}
+	for i, tbl := range all {
+		if !strings.Contains(tbl.Title, want[i]) {
+			t.Errorf("-exp all figure %d is %q, want %q", i, tbl.Title, want[i])
+		}
+	}
+	var each []string
+	for _, e := range experiments {
+		for _, tbl := range tables(e, "", "") {
+			each = append(each, tbl.Title)
+		}
+	}
+	if fmt.Sprint(each) != fmt.Sprint(titles(all)) {
+		t.Errorf("-exp all is not every experiment in order:\n%v\n%v", titles(all), each)
+	}
+
+	for _, c := range []struct {
+		exp, system, bench, title string
+		rows                      int
+	}{
+		{"fig4", "XeonPhi", "", "Figure 4: speedup on XeonPhi (c=64)", 8},
+		{"fig6", "", "CG", "Figure 6: speedup vs look-ahead distance, CG", 4},
+		{"swhw", "A53", "", "SW vs HW prefetching: speedup over no-prefetch baseline, A53 (c=64)", 8},
+		{"lookahead", "A53,Haswell", "IS,RA", "Look-ahead sensitivity: tuned speedup vs c (auto)", 4},
+	} {
+		got := tables(c.exp, c.system, c.bench)
+		if len(got) != 1 || got[0].Title != c.title || len(got[0].Rows) != c.rows {
+			t.Errorf("-exp %s -system %q -bench %q: %v, want one %d-row %q",
+				c.exp, c.system, c.bench, titles(got), c.rows, c.title)
+		}
+	}
+}
+
+func titles(tables []*Table) []string {
+	var out []string
+	for _, tbl := range tables {
+		out = append(out, tbl.Title)
+	}
+	return out
+}
+
+// TestRenderRejectsResultDependentCells: a figure that decides from a
+// result which cell to read next fails to render, instead of reading a
+// cell that never ran.
+func TestRenderRejectsResultDependentCells(t *testing.T) {
+	w, cfg := workloads.Tiny()[0], sim.DefaultConfig()
+	fig := func(q Quality, get Lookup) (*Table, error) {
+		if get(w, cfg, core.VariantPlain, core.Options{}).Cycles > 0 {
+			get(w, cfg, core.VariantAuto, core.Options{})
+		}
+		return &Table{}, nil
+	}
+	m, err := plan(Quick, []Figure{fig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.reqs) != 1 {
+		t.Fatalf("planned %d cells, want the one read before any result", len(m.reqs))
+	}
+	m.res = []*core.Result{{Cycles: 1}} // as if run
+	if _, err := m.render(Quick, []Figure{fig}); err == nil || !strings.Contains(err.Error(), "must not depend on results") {
+		t.Errorf("render error = %v, want a result-dependent cell", err)
 	}
 }

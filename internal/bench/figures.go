@@ -2,57 +2,26 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/uarch"
 	"repro/internal/workloads"
 )
 
-// Suite regenerates the evaluation figures at one quality setting,
-// fanning the independent simulation runs of each figure across Jobs
-// worker goroutines via the sweep engine. Per-run statistics are
-// bit-identical for any worker count, so tables never depend on Jobs.
-type Suite struct {
-	Q Quality
-	// Jobs is the sweep worker count; <= 0 selects GOMAXPROCS.
-	Jobs int
-	// Cache, when non-nil, is a persistent result store (see
-	// internal/store): figure cells already cached are served from
-	// disk, and fresh cells are persisted as they complete.
-	Cache sweep.Cache
-	// OnPutError receives cache-persistence failures (see
-	// sweep.Runner.OnPutError); nil ignores them.
-	OnPutError func(sweep.Request, error)
-}
+// A Figure builds one table of the evaluation from the simulation
+// cells it reads through get. Every figure is a view over one
+// experiment matrix: Suite.Run calls each selected figure first
+// against a recorder, to learn its cells, and again once those cells
+// have run.
+//
+// Which cells a figure reads must therefore never depend on results.
+// A figure may pick among results (the best manual depth, the tuned
+// look-ahead), but it must read every candidate whatever the values.
+type Figure func(q Quality, get Lookup) (*Table, error)
 
-// runner is the sweep configuration every figure executes under.
-func (s Suite) runner() sweep.Runner {
-	return sweep.Runner{Jobs: s.Jobs, Cache: s.Cache, OnPutError: s.OnPutError}
-}
-
-// batch accumulates the independent runs one figure needs. Figures
-// record request indices while building the batch and read results
-// positionally after running it, which keeps each figure's assembly
-// logic identical to the old serial loops.
-type batch struct {
-	reqs []sweep.Request
-}
-
-func (b *batch) add(w *workloads.Workload, cfg *sim.Config, v core.Variant, o core.Options) int {
-	b.reqs = append(b.reqs, sweep.Request{Workload: w, System: cfg, Variant: v, Options: o})
-	return len(b.reqs) - 1
-}
-
-func (b *batch) run(r sweep.Runner) ([]*core.Result, error) {
-	set, err := r.Execute(b.reqs)
-	if err != nil {
-		return nil, err
-	}
-	return set.Results(), nil
-}
+// Lookup returns the result of one cell of the matrix.
+type Lookup func(w *workloads.Workload, cfg *sim.Config, v core.Variant, o core.Options) *core.Result
 
 // manualDepths lists the stagger depths figure 4's best-manual
 // selection tries: every supported level, or just the default when the
@@ -68,13 +37,13 @@ func manualDepths(w *workloads.Workload) []int {
 	return ds
 }
 
-// bestOf returns the lowest-cycle result among the indexed runs,
-// keeping the earliest on ties (matching the serial selection order).
-func bestOf(res []*core.Result, idxs []int) *core.Result {
+// bestManual returns the lowest-cycle manual run of w on cfg over
+// every stagger depth, keeping the shallowest on ties.
+func bestManual(get Lookup, w *workloads.Workload, cfg *sim.Config) *core.Result {
 	var best *core.Result
-	for _, i := range idxs {
-		if best == nil || res[i].Cycles < best.Cycles {
-			best = res[i]
+	for _, d := range manualDepths(w) {
+		if r := get(w, cfg, core.VariantManual, core.Options{Depth: d}); best == nil || r.Cycles < best.Cycles {
+			best = r
 		}
 	}
 	return best
@@ -85,15 +54,15 @@ func bestOf(res []*core.Result, idxs []int) *core.Result {
 // prefetch (listing 1 line 4); "optimal" adds the staggered stride
 // prefetch (line 6); the offset variants use the optimal scheme with a
 // too-small / too-big look-ahead.
-func (s Suite) Fig2() (*Table, error) {
-	w := workloadByName(s.Q, "IS")
+func Fig2(q Quality, get Lookup) (*Table, error) {
+	w := workloadByName(q, "IS")
 	hw := uarch.Haswell()
 	t := &Table{
 		Title:   "Figure 2: prefetching technique vs speedup, IS on Haswell",
 		Columns: []string{"technique", "speedup"},
 		Note:    "paper: intuitive 1.08x, optimal 1.30x; too small/too big below optimal",
 	}
-	cases := []struct {
+	for _, cse := range []struct {
 		name    string
 		variant core.Variant
 		c       int64
@@ -102,131 +71,70 @@ func (s Suite) Fig2() (*Table, error) {
 		{"Offset too small", core.VariantAuto, 4},
 		{"Offset too big", core.VariantAuto, 1024},
 		{"Optimal", core.VariantAuto, 64},
-	}
-	b := &batch{}
-	type pair struct{ plain, x int }
-	idx := make([]pair, len(cases))
-	for i, cse := range cases {
+	} {
 		o := core.Options{C: cse.c}
-		idx[i] = pair{b.add(w, hw, core.VariantPlain, o), b.add(w, hw, cse.variant, o)}
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
-	}
-	for i, cse := range cases {
-		t.AddRow(cse.name, f2(core.Speedup(res[idx[i].plain], res[idx[i].x])))
+		t.AddRow(cse.name, f2(core.Speedup(get(w, hw, core.VariantPlain, o), get(w, hw, cse.variant, o))))
 	}
 	return t, nil
 }
 
-// Fig4 reproduces figure 4: auto-generated and manual prefetch speedups
-// for every benchmark on one system; on the Xeon Phi the ICC-like
+// Fig4 reproduces figure 4 on one system: auto-generated and manual
+// prefetch speedups for every benchmark; on the Xeon Phi the ICC-like
 // restricted pass is included as a third series.
-func (s Suite) Fig4(system string) (*Table, error) {
-	cfg := uarch.ByName(system)
-	if cfg == nil {
-		return nil, fmt.Errorf("bench: unknown system %q", system)
-	}
-	withICC := system == "XeonPhi"
-	cols := []string{"benchmark", "auto", "manual"}
-	if withICC {
-		cols = []string{"benchmark", "icc", "auto", "manual"}
-	}
-	t := &Table{
-		Title:   fmt.Sprintf("Figure 4: speedup on %s (c=64)", system),
-		Columns: cols,
-		Note:    "paper geomeans: Haswell 1.3x, A57 1.1x, A53 2.1x, Xeon Phi 2.7x",
-	}
-	ws := workloadSet(s.Q)
-	b := &batch{}
-	type row struct {
-		plain, icc, auto int
-		manual           []int
-	}
-	rows := make([]row, len(ws))
-	for i, w := range ws {
-		r := row{plain: b.add(w, cfg, core.VariantPlain, core.Options{}), icc: -1}
+func Fig4(system string) Figure {
+	return func(q Quality, get Lookup) (*Table, error) {
+		cfg := uarch.ByName(system)
+		if cfg == nil {
+			return nil, fmt.Errorf("bench: unknown system %q", system)
+		}
+		withICC := system == "XeonPhi"
+		cols := []string{"benchmark", "auto", "manual"}
 		if withICC {
-			r.icc = b.add(w, cfg, core.VariantICC, core.Options{})
+			cols = []string{"benchmark", "icc", "auto", "manual"}
 		}
-		r.auto = b.add(w, cfg, core.VariantAuto, core.Options{})
-		for _, d := range manualDepths(w) {
-			r.manual = append(r.manual, b.add(w, cfg, core.VariantManual, core.Options{Depth: d}))
+		t := &Table{
+			Title:   fmt.Sprintf("Figure 4: speedup on %s (c=64)", system),
+			Columns: cols,
+			Note:    "paper geomeans: Haswell 1.3x, A57 1.1x, A53 2.1x, Xeon Phi 2.7x",
 		}
-		rows[i] = r
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
-	}
-	var autos, manuals, iccs []float64
-	for i, w := range ws {
-		base := res[rows[i].plain]
-		row := []string{w.Name}
+		var autos, manuals, iccs []float64
+		for _, w := range WorkloadSet(q) {
+			base := get(w, cfg, core.VariantPlain, core.Options{})
+			row := []string{w.Name}
+			if withICC {
+				sICC := core.Speedup(base, get(w, cfg, core.VariantICC, core.Options{}))
+				iccs = append(iccs, sICC)
+				row = append(row, f2(sICC))
+			}
+			sa := core.Speedup(base, get(w, cfg, core.VariantAuto, core.Options{}))
+			sm := core.Speedup(base, bestManual(get, w, cfg))
+			autos = append(autos, sa)
+			manuals = append(manuals, sm)
+			t.AddRow(append(row, f2(sa), f2(sm))...)
+		}
+		grow := []string{"Geomean"}
 		if withICC {
-			sICC := core.Speedup(base, res[rows[i].icc])
-			iccs = append(iccs, sICC)
-			row = append(row, f2(sICC))
+			grow = append(grow, f2(geomean(iccs)))
 		}
-		sa := core.Speedup(base, res[rows[i].auto])
-		sm := core.Speedup(base, bestOf(res, rows[i].manual))
-		autos = append(autos, sa)
-		manuals = append(manuals, sm)
-		row = append(row, f2(sa), f2(sm))
-		t.AddRow(row...)
+		t.AddRow(append(grow, f2(geomean(autos)), f2(geomean(manuals)))...)
+		return t, nil
 	}
-	grow := []string{"Geomean"}
-	if withICC {
-		grow = append(grow, f2(geomean(iccs)))
-	}
-	grow = append(grow, f2(geomean(autos)), f2(geomean(manuals)))
-	t.AddRow(grow...)
-	return t, nil
-}
-
-// Fig4All runs figure 4 for all four systems.
-func (s Suite) Fig4All() ([]*Table, error) {
-	var out []*Table
-	for _, cfg := range systems() {
-		t, err := s.Fig4(cfg.Name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // Fig5 reproduces figure 5: on Haswell, the indirect prefetch alone
 // versus indirect plus staggered stride prefetch, both auto-generated.
-func (s Suite) Fig5() (*Table, error) {
+func Fig5(q Quality, get Lookup) (*Table, error) {
 	hw := uarch.Haswell()
 	t := &Table{
 		Title:   "Figure 5: indirect-only vs indirect+stride prefetch, Haswell (auto)",
 		Columns: []string{"benchmark", "indirect only", "indirect+stride"},
 		Note:    "paper: stride companions help across the board despite the HW prefetcher",
 	}
-	ws := workloadSet(s.Q)
-	b := &batch{}
-	type row struct{ plain, onlyI, full int }
-	rows := make([]row, len(ws))
-	for i, w := range ws {
-		rows[i] = row{
-			plain: b.add(w, hw, core.VariantPlain, core.Options{}),
-			onlyI: b.add(w, hw, core.VariantIndirectOnly, core.Options{}),
-			full:  b.add(w, hw, core.VariantAuto, core.Options{}),
-		}
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
-	}
 	var only, both []float64
-	for i, w := range ws {
-		base := res[rows[i].plain]
-		s1 := core.Speedup(base, res[rows[i].onlyI])
-		s2 := core.Speedup(base, res[rows[i].full])
+	for _, w := range WorkloadSet(q) {
+		base := get(w, hw, core.VariantPlain, core.Options{})
+		s1 := core.Speedup(base, get(w, hw, core.VariantIndirectOnly, core.Options{}))
+		s2 := core.Speedup(base, get(w, hw, core.VariantAuto, core.Options{}))
 		only = append(only, s1)
 		both = append(both, s2)
 		t.AddRow(w.Name, f2(s1), f2(s2))
@@ -238,102 +146,51 @@ func (s Suite) Fig5() (*Table, error) {
 // Fig6Distances is the look-ahead sweep of figure 6.
 var Fig6Distances = []int64{4, 8, 16, 32, 64, 128, 256}
 
-// Fig6 reproduces figure 6: speedup vs look-ahead distance c for one of
-// IS, CG, RA, HJ-2 across all four systems, using manual prefetches as
-// the paper does ("based on manual insertion, to show the limits of
+// Fig6 reproduces figure 6 for one benchmark: speedup vs look-ahead
+// distance c across all four systems, using manual prefetches as the
+// paper does ("based on manual insertion, to show the limits of
 // performance achievable across systems regardless of algorithm").
-func (s Suite) Fig6(benchName string) (*Table, error) {
-	w := workloadByName(s.Q, benchName)
-	if w == nil {
-		return nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
-	}
-	t := &Table{
-		Title:   fmt.Sprintf("Figure 6: speedup vs look-ahead distance, %s", w.Name),
-		Columns: append([]string{"system"}, formatDistances()...),
-		Note:    "paper: optimum is flat and c=64 is close to best everywhere",
-	}
-	sys := systems()
-	b := &batch{}
-	type row struct {
-		plain int
-		byC   []int
-	}
-	rows := make([]row, len(sys))
-	for i, cfg := range sys {
-		r := row{plain: b.add(w, cfg, core.VariantPlain, core.Options{})}
+func Fig6(benchName string) Figure {
+	return func(q Quality, get Lookup) (*Table, error) {
+		w := workloadByName(q, benchName)
+		if w == nil {
+			return nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
+		}
+		cols := []string{"system"}
 		for _, c := range Fig6Distances {
-			r.byC = append(r.byC, b.add(w, cfg, core.VariantManual, core.Options{C: c}))
+			cols = append(cols, fmt.Sprintf("c=%d", c))
 		}
-		rows[i] = r
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
-	}
-	for i, cfg := range sys {
-		base := res[rows[i].plain]
-		row := []string{cfg.Name}
-		for _, j := range rows[i].byC {
-			row = append(row, f2(core.Speedup(base, res[j])))
+		t := &Table{
+			Title:   fmt.Sprintf("Figure 6: speedup vs look-ahead distance, %s", w.Name),
+			Columns: cols,
+			Note:    "paper: optimum is flat and c=64 is close to best everywhere",
 		}
-		t.AddRow(row...)
-	}
-	return t, nil
-}
-
-func formatDistances() []string {
-	out := make([]string, len(Fig6Distances))
-	for i, c := range Fig6Distances {
-		out[i] = fmt.Sprintf("c=%d", c)
-	}
-	return out
-}
-
-// Fig6All runs the sweep for the four benchmarks the paper plots.
-func (s Suite) Fig6All() ([]*Table, error) {
-	var out []*Table
-	for _, name := range []string{"IS", "CG", "RA", "HJ-2"} {
-		t, err := s.Fig6(name)
-		if err != nil {
-			return nil, err
+		for _, cfg := range systems() {
+			base := get(w, cfg, core.VariantPlain, core.Options{})
+			row := []string{cfg.Name}
+			for _, c := range Fig6Distances {
+				row = append(row, f2(core.Speedup(base, get(w, cfg, core.VariantManual, core.Options{C: c}))))
+			}
+			t.AddRow(row...)
 		}
-		out = append(out, t)
+		return t, nil
 	}
-	return out, nil
 }
 
 // Fig7 reproduces figure 7: prefetching progressively more dependent
 // loads of HJ-8's four-deep chain, on every system.
-func (s Suite) Fig7() (*Table, error) {
-	w := workloadByName(s.Q, "HJ-8")
+func Fig7(q Quality, get Lookup) (*Table, error) {
+	w := workloadByName(q, "HJ-8")
 	t := &Table{
 		Title:   "Figure 7: HJ-8 speedup vs prefetch stagger depth (manual)",
 		Columns: []string{"system", "depth 1", "depth 2", "depth 3", "depth 4"},
 		Note:    "paper: depth 3 is optimal on every architecture",
 	}
-	sys := systems()
-	b := &batch{}
-	type row struct {
-		plain   int
-		byDepth []int
-	}
-	rows := make([]row, len(sys))
-	for i, cfg := range sys {
-		r := row{plain: b.add(w, cfg, core.VariantPlain, core.Options{})}
-		for d := 1; d <= 4; d++ {
-			r.byDepth = append(r.byDepth, b.add(w, cfg, core.VariantManual, core.Options{C: 64, Depth: d}))
-		}
-		rows[i] = r
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
-	}
-	for i, cfg := range sys {
-		base := res[rows[i].plain]
+	for _, cfg := range systems() {
+		base := get(w, cfg, core.VariantPlain, core.Options{})
 		row := []string{cfg.Name}
-		for _, j := range rows[i].byDepth {
-			row = append(row, f2(core.Speedup(base, res[j])))
+		for d := 1; d <= 4; d++ {
+			row = append(row, f2(core.Speedup(base, get(w, cfg, core.VariantManual, core.Options{C: 64, Depth: d}))))
 		}
 		t.AddRow(row...)
 	}
@@ -343,34 +200,16 @@ func (s Suite) Fig7() (*Table, error) {
 // Fig8 reproduces figure 8: the percentage increase in dynamic
 // instruction count on Haswell from adding software prefetches (best
 // scheme per benchmark, i.e. the manual variant).
-func (s Suite) Fig8() (*Table, error) {
+func Fig8(q Quality, get Lookup) (*Table, error) {
 	hw := uarch.Haswell()
 	t := &Table{
 		Title:   "Figure 8: % extra dynamic instructions from prefetching, Haswell",
 		Columns: []string{"benchmark", "% extra instructions"},
 		Note:    "paper: ~70% for IS/RA, ~80% for CG, small for G500 (outer-loop prefetches only)",
 	}
-	ws := workloadSet(s.Q)
-	b := &batch{}
-	type row struct {
-		plain  int
-		manual []int
-	}
-	rows := make([]row, len(ws))
-	for i, w := range ws {
-		r := row{plain: b.add(w, hw, core.VariantPlain, core.Options{})}
-		for _, d := range manualDepths(w) {
-			r.manual = append(r.manual, b.add(w, hw, core.VariantManual, core.Options{Depth: d}))
-		}
-		rows[i] = r
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
-	}
-	for i, w := range ws {
-		base := res[rows[i].plain]
-		man := bestOf(res, rows[i].manual)
+	for _, w := range WorkloadSet(q) {
+		base := get(w, hw, core.VariantPlain, core.Options{})
+		man := bestManual(get, w, hw)
 		extra := 100 * (float64(man.Stats.Instructions) - float64(base.Stats.Instructions)) /
 			float64(base.Stats.Instructions)
 		t.AddRow(w.Name, fmt.Sprintf("%.1f", extra))
@@ -382,35 +221,21 @@ func (s Suite) Fig8() (*Table, error) {
 // 1, 2 and 4 cores contending for DRAM, with and without prefetching.
 // Throughput is (tasks/time) normalized to one task on one core without
 // prefetching: N * T(1, no-pf) / T(N, variant).
-func (s Suite) Fig9() (*Table, error) {
-	w := workloadByName(s.Q, "IS")
+func Fig9(q Quality, get Lookup) (*Table, error) {
+	w := workloadByName(q, "IS")
 	t := &Table{
 		Title:   "Figure 9: IS normalized throughput vs core count, Haswell",
 		Columns: []string{"cores", "no prefetching", "prefetching"},
 		Note:    "paper: throughput <1 at 4 cores without prefetching; prefetching still wins",
 	}
-	counts := []int{1, 2, 4}
-	b := &batch{}
-	solo := b.add(w, uarch.Haswell(), core.VariantPlain, core.Options{})
-	type row struct{ plain, pf int }
-	rows := make([]row, len(counts))
-	for i, n := range counts {
+	solo := get(w, uarch.Haswell(), core.VariantPlain, core.Options{})
+	for _, n := range []int{1, 2, 4} {
 		cfg := uarch.WithCores(uarch.Haswell(), n)
-		rows[i] = row{
-			plain: b.add(w, cfg, core.VariantPlain, core.Options{}),
-			pf:    b.add(w, cfg, core.VariantManual, core.Options{}),
-		}
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
-	}
-	for i, n := range counts {
 		// One task per core: N tasks complete in one core's contended
 		// time T(N), versus N*T(1,no-pf) run back to back on one core —
 		// so normalized throughput is T(1,no-pf)/T(N).
-		tpBase := res[solo].Cycles / res[rows[i].plain].Cycles
-		tpPF := res[solo].Cycles / res[rows[i].pf].Cycles
+		tpBase := solo.Cycles / get(w, cfg, core.VariantPlain, core.Options{}).Cycles
+		tpPF := solo.Cycles / get(w, cfg, core.VariantManual, core.Options{}).Cycles
 		t.AddRow(fmt.Sprintf("%d", n), f2(tpBase), f2(tpPF))
 	}
 	return t, nil
@@ -420,39 +245,22 @@ func (s Suite) Fig9() (*Table, error) {
 // pages enabled and disabled on Haswell, for the TLB-sensitive
 // benchmarks IS, RA and HJ-2. Each speedup is normalized to no
 // prefetching under the same page policy.
-func (s Suite) Fig10() (*Table, error) {
+func Fig10(q Quality, get Lookup) (*Table, error) {
 	t := &Table{
 		Title:   "Figure 10: prefetch speedup with small vs huge pages, Haswell",
 		Columns: []string{"benchmark", "small pages", "huge pages"},
 		Note:    "paper: huge pages shift gains but trends are consistent",
 	}
-	names := []string{"IS", "RA", "HJ-2"}
 	cfgs := []*sim.Config{
 		uarch.SmallPages(uarch.Haswell()),
 		uarch.HugePages(uarch.Haswell()),
 	}
-	b := &batch{}
-	type pair struct{ plain, pf int }
-	rows := make([][]pair, len(names))
-	ws := make([]*workloads.Workload, len(names))
-	for i, name := range names {
-		w := workloadByName(s.Q, name)
-		ws[i] = w
+	for _, name := range []string{"IS", "RA", "HJ-2"} {
+		w := workloadByName(q, name)
+		row := []string{w.Name}
 		for _, cfg := range cfgs {
-			rows[i] = append(rows[i], pair{
-				plain: b.add(w, cfg, core.VariantPlain, core.Options{}),
-				pf:    b.add(w, cfg, core.VariantManual, core.Options{}),
-			})
-		}
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
-	}
-	for i := range names {
-		row := []string{ws[i].Name}
-		for _, p := range rows[i] {
-			row = append(row, f2(core.Speedup(res[p.plain], res[p.pf])))
+			base := get(w, cfg, core.VariantPlain, core.Options{})
+			row = append(row, f2(core.Speedup(base, get(w, cfg, core.VariantManual, core.Options{}))))
 		}
 		t.AddRow(row...)
 	}
@@ -472,84 +280,45 @@ var swhwModels = []string{"stride", "ghb", "imp"}
 // column isolates the compiler pass; the per-model pairs show what
 // hardware achieves alone and whether it still composes with the
 // software pass on top.
-func (s Suite) FigSWHW(system string) (*Table, error) {
-	cfg := uarch.ByName(system)
-	if cfg == nil {
-		return nil, fmt.Errorf("bench: unknown system %q", system)
-	}
-	cols := []string{"benchmark", "sw only"}
-	for _, m := range swhwModels {
-		cols = append(cols, m, m+"+sw")
-	}
-	t := &Table{
-		Title:   fmt.Sprintf("SW vs HW prefetching: speedup over no-prefetch baseline, %s (c=64)", system),
-		Columns: cols,
-		Note:    "paper §7: software prefetch beats hardware (incl. IMP) for indirect accesses; IMP beats stride where A[B[i]] dominates",
-	}
-	none := uarch.WithHWPrefetcher(cfg, "none")
-	hwCfgs := make([]*sim.Config, len(swhwModels))
-	for i, m := range swhwModels {
-		hwCfgs[i] = uarch.WithHWPrefetcher(cfg, m)
-	}
-
-	ws := workloadSet(s.Q)
-	b := &batch{}
-	type row struct {
-		base, sw int   // plain/auto on hwpf=none
-		hw, both []int // plain/auto per hardware model
-	}
-	rows := make([]row, len(ws))
-	for i, w := range ws {
-		r := row{
-			base: b.add(w, none, core.VariantPlain, core.Options{}),
-			sw:   b.add(w, none, core.VariantAuto, core.Options{}),
+func FigSWHW(system string) Figure {
+	return func(q Quality, get Lookup) (*Table, error) {
+		cfg := uarch.ByName(system)
+		if cfg == nil {
+			return nil, fmt.Errorf("bench: unknown system %q", system)
 		}
-		for _, hc := range hwCfgs {
-			r.hw = append(r.hw, b.add(w, hc, core.VariantPlain, core.Options{}))
-			r.both = append(r.both, b.add(w, hc, core.VariantAuto, core.Options{}))
+		cols := []string{"benchmark", "sw only"}
+		for _, m := range swhwModels {
+			cols = append(cols, m, m+"+sw")
 		}
-		rows[i] = r
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
-	}
-	geo := make([][]float64, len(cols)-1)
-	for i, w := range ws {
-		base := res[rows[i].base]
-		speeds := []float64{core.Speedup(base, res[rows[i].sw])}
-		for j := range swhwModels {
-			speeds = append(speeds,
-				core.Speedup(base, res[rows[i].hw[j]]),
-				core.Speedup(base, res[rows[i].both[j]]))
+		t := &Table{
+			Title:   fmt.Sprintf("SW vs HW prefetching: speedup over no-prefetch baseline, %s (c=64)", system),
+			Columns: cols,
+			Note:    "paper §7: software prefetch beats hardware (incl. IMP) for indirect accesses; IMP beats stride where A[B[i]] dominates",
 		}
-		cells := []string{w.Name}
-		for j, sp := range speeds {
-			geo[j] = append(geo[j], sp)
-			cells = append(cells, f2(sp))
+		none := uarch.WithHWPrefetcher(cfg, "none")
+		hwCfgs := make([]*sim.Config, len(swhwModels))
+		for i, m := range swhwModels {
+			hwCfgs[i] = uarch.WithHWPrefetcher(cfg, m)
 		}
-		t.AddRow(cells...)
-	}
-	grow := []string{"Geomean"}
-	for _, g := range geo {
-		grow = append(grow, f2(geomean(g)))
-	}
-	t.AddRow(grow...)
-	return t, nil
-}
-
-// FigSWHWAll runs the software-vs-hardware comparison on all four
-// machines.
-func (s Suite) FigSWHWAll() ([]*Table, error) {
-	var out []*Table
-	for _, cfg := range systems() {
-		t, err := s.FigSWHW(cfg.Name)
-		if err != nil {
-			return nil, err
+		geo := make([][]float64, len(cols)-1)
+		for _, w := range WorkloadSet(q) {
+			base := get(w, none, core.VariantPlain, core.Options{})
+			speeds := []float64{core.Speedup(base, get(w, none, core.VariantAuto, core.Options{}))}
+			for _, hc := range hwCfgs {
+				speeds = append(speeds,
+					core.Speedup(base, get(w, hc, core.VariantPlain, core.Options{})),
+					core.Speedup(base, get(w, hc, core.VariantAuto, core.Options{})))
+			}
+			cells := []string{w.Name}
+			for j, sp := range speeds {
+				geo[j] = append(geo[j], sp)
+				cells = append(cells, f2(sp))
+			}
+			t.AddRow(cells...)
 		}
-		out = append(out, t)
+		t.AddRow(geomeanRow(geo)...)
+		return t, nil
 	}
-	return out, nil
 }
 
 // FigCores is the core-model sensitivity study: every benchmark's
@@ -560,147 +329,35 @@ func (s Suite) FigSWHWAll() ([]*Table, error) {
 // while an out-of-order window already extracts memory-level
 // parallelism and gains far less from the same code — so the in-order
 // column must dominate the out-of-order ones.
-func (s Suite) FigCores() (*Table, error) {
-	cfg := uarch.Haswell()
-	cols := []string{"benchmark"}
-	cols = append(cols, sim.CoreModels()...)
+func FigCores(q Quality, get Lookup) (*Table, error) {
 	t := &Table{
 		Title:   "Core models: auto-prefetch speedup by CPU timing model, Haswell memory system (c=64)",
-		Columns: cols,
+		Columns: append([]string{"benchmark"}, sim.CoreModels()...),
 		Note:    "paper §6: in-order cores gain most from software prefetch; out-of-order windows already extract MLP",
 	}
-	coreCfgs := make([]*sim.Config, len(sim.CoreModels()))
-	for i, m := range sim.CoreModels() {
-		coreCfgs[i] = uarch.WithCoreModel(cfg, m)
-	}
-
-	ws := workloadSet(s.Q)
-	b := &batch{}
-	type pair struct{ plain, auto int }
-	rows := make([][]pair, len(ws))
-	for i, w := range ws {
-		for _, cc := range coreCfgs {
-			rows[i] = append(rows[i], pair{
-				plain: b.add(w, cc, core.VariantPlain, core.Options{}),
-				auto:  b.add(w, cc, core.VariantAuto, core.Options{}),
-			})
-		}
-	}
-	res, err := b.run(s.runner())
-	if err != nil {
-		return nil, err
+	var coreCfgs []*sim.Config
+	for _, m := range sim.CoreModels() {
+		coreCfgs = append(coreCfgs, uarch.WithCoreModel(uarch.Haswell(), m))
 	}
 	geo := make([][]float64, len(coreCfgs))
-	for i, w := range ws {
+	for _, w := range WorkloadSet(q) {
 		cells := []string{w.Name}
-		for j := range coreCfgs {
-			sp := core.Speedup(res[rows[i][j].plain], res[rows[i][j].auto])
+		for j, cc := range coreCfgs {
+			sp := core.Speedup(get(w, cc, core.VariantPlain, core.Options{}), get(w, cc, core.VariantAuto, core.Options{}))
 			geo[j] = append(geo[j], sp)
 			cells = append(cells, f2(sp))
 		}
 		t.AddRow(cells...)
 	}
-	grow := []string{"Geomean"}
-	for _, g := range geo {
-		grow = append(grow, f2(geomean(g)))
-	}
-	t.AddRow(grow...)
+	t.AddRow(geomeanRow(geo)...)
 	return t, nil
 }
 
-// RunAll regenerates every figure and writes the tables to out.
-func (s Suite) RunAll(out io.Writer) error {
-	var tables []*Table
-	add := func(t *Table, err error) error {
-		if err != nil {
-			return err
-		}
-		tables = append(tables, t)
-		return nil
+// geomeanRow is the closing "Geomean" row over per-column speedups.
+func geomeanRow(cols [][]float64) []string {
+	row := []string{"Geomean"}
+	for _, c := range cols {
+		row = append(row, f2(geomean(c)))
 	}
-	if err := add(s.Fig2()); err != nil {
-		return err
-	}
-	f4, err := s.Fig4All()
-	if err != nil {
-		return err
-	}
-	tables = append(tables, f4...)
-	if err := add(s.Fig5()); err != nil {
-		return err
-	}
-	f6, err := s.Fig6All()
-	if err != nil {
-		return err
-	}
-	tables = append(tables, f6...)
-	if err := add(s.Fig7()); err != nil {
-		return err
-	}
-	if err := add(s.Fig8()); err != nil {
-		return err
-	}
-	if err := add(s.Fig9()); err != nil {
-		return err
-	}
-	if err := add(s.Fig10()); err != nil {
-		return err
-	}
-	fhw, err := s.FigSWHWAll()
-	if err != nil {
-		return err
-	}
-	tables = append(tables, fhw...)
-	if err := add(s.FigCores()); err != nil {
-		return err
-	}
-	if err := add(s.FigLookahead("", "")); err != nil {
-		return err
-	}
-	for _, t := range tables {
-		fmt.Fprintln(out, t.String())
-	}
-	return nil
+	return row
 }
-
-// The free functions below are the historical API: each runs the figure
-// at the given quality with the default (GOMAXPROCS) worker pool.
-
-// Fig2 runs figure 2 with default parallelism.
-func Fig2(q Quality) (*Table, error) { return Suite{Q: q}.Fig2() }
-
-// Fig4 runs figure 4 for one system with default parallelism.
-func Fig4(q Quality, system string) (*Table, error) { return Suite{Q: q}.Fig4(system) }
-
-// Fig4All runs figure 4 for all four systems with default parallelism.
-func Fig4All(q Quality) ([]*Table, error) { return Suite{Q: q}.Fig4All() }
-
-// Fig5 runs figure 5 with default parallelism.
-func Fig5(q Quality) (*Table, error) { return Suite{Q: q}.Fig5() }
-
-// Fig6 runs one figure 6 sweep with default parallelism.
-func Fig6(q Quality, benchName string) (*Table, error) { return Suite{Q: q}.Fig6(benchName) }
-
-// Fig6All runs figure 6 for the paper's four benchmarks with default
-// parallelism.
-func Fig6All(q Quality) ([]*Table, error) { return Suite{Q: q}.Fig6All() }
-
-// Fig7 runs figure 7 with default parallelism.
-func Fig7(q Quality) (*Table, error) { return Suite{Q: q}.Fig7() }
-
-// Fig8 runs figure 8 with default parallelism.
-func Fig8(q Quality) (*Table, error) { return Suite{Q: q}.Fig8() }
-
-// Fig9 runs figure 9 with default parallelism.
-func Fig9(q Quality) (*Table, error) { return Suite{Q: q}.Fig9() }
-
-// Fig10 runs figure 10 with default parallelism.
-func Fig10(q Quality) (*Table, error) { return Suite{Q: q}.Fig10() }
-
-// FigCores runs the core-model sensitivity study with default
-// parallelism.
-func FigCores(q Quality) (*Table, error) { return Suite{Q: q}.FigCores() }
-
-// RunAll regenerates every figure at the given quality with default
-// parallelism and writes the tables to out.
-func RunAll(q Quality, out io.Writer) error { return Suite{Q: q}.RunAll(out) }

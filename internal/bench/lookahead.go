@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/sweep"
 	"repro/internal/tune"
 )
 
@@ -16,45 +17,55 @@ const LookaheadWorkloads = "IS,CG,RA,HJ-2"
 // the no-prefetch baseline at every look-ahead of the default search
 // ladder, plus the tuned optimum. It is figure 6 rebuilt by the
 // optimizer (internal/tune): one exhaustive search produces both the
-// curve and the best column, and every cell flows through the sweep
-// engine, so a result store memoizes the figure like any other.
+// curve and the best column. The tuner reads its cells through the
+// figure's Lookup, so they join the one experiment matrix like any
+// other figure's; the exhaustive search reads every candidate
+// whatever the results.
 //
 // Empty selections mean the figure-6 workloads on all four systems;
 // both accept the sweep axis grammar ("IS,RA" / "A53,Haswell").
-func (s Suite) FigLookahead(benchNames, systemNames string) (*Table, error) {
+func FigLookahead(benchNames, systemNames string) Figure {
 	if strings.TrimSpace(benchNames) == "" {
 		benchNames = LookaheadWorkloads
 	}
-	sp := tune.Spec{}
-	sp.Quality = s.Q.PoolName()
-	sp.Workloads = benchNames
-	sp.Systems = systemNames
-	rep, err := tune.Tuner{Runner: s.runner()}.Run(sp)
-	if err != nil {
-		return nil, err
-	}
-
-	cols := []string{"benchmark", "system"}
-	for _, c := range tune.DefaultCs {
-		cols = append(cols, fmt.Sprintf("c=%d", c))
-	}
-	cols = append(cols, "best c", "best")
-	t := &Table{
-		Title:   "Look-ahead sensitivity: tuned speedup vs c (auto)",
-		Columns: cols,
-		Note:    "paper §5.2: the optimum is interior — too small arrives late, too big pollutes/evicts; c=64 is near-best on most systems",
-	}
-	for _, res := range rep.Results {
-		row := []string{res.Workload, res.System}
-		for _, pt := range res.Curve {
-			row = append(row, f2(pt.Speedup))
+	return func(q Quality, get Lookup) (*Table, error) {
+		sp := tune.Spec{}
+		sp.Quality = q.PoolName()
+		sp.Workloads = benchNames
+		sp.Systems = systemNames
+		rep, err := tune.Tuner{Runner: get}.Run(sp)
+		if err != nil {
+			return nil, err
 		}
-		row = append(row, fmt.Sprintf("%d", res.Best.C), f2(res.Speedup))
-		t.AddRow(row...)
+
+		cols := []string{"benchmark", "system"}
+		for _, c := range tune.DefaultCs {
+			cols = append(cols, fmt.Sprintf("c=%d", c))
+		}
+		cols = append(cols, "best c", "best")
+		t := &Table{
+			Title:   "Look-ahead sensitivity: tuned speedup vs c (auto)",
+			Columns: cols,
+			Note:    "paper §5.2: the optimum is interior — too small arrives late, too big pollutes/evicts; c=64 is near-best on most systems",
+		}
+		for _, res := range rep.Results {
+			row := []string{res.Workload, res.System}
+			for _, pt := range res.Curve {
+				row = append(row, f2(pt.Speedup))
+			}
+			row = append(row, fmt.Sprintf("%d", res.Best.C), f2(res.Speedup))
+			t.AddRow(row...)
+		}
+		return t, nil
 	}
-	return t, nil
 }
 
-// FigLookahead runs the look-ahead sensitivity figure with default
-// parallelism (the historical free-function API).
-func FigLookahead(q Quality) (*Table, error) { return Suite{Q: q}.FigLookahead("", "") }
+// Execute answers a batch through the lookup. It makes a Lookup a
+// tune.Runner, so the look-ahead figure's tuner reads the matrix.
+func (get Lookup) Execute(reqs []sweep.Request) (*sweep.ResultSet, error) {
+	set := &sweep.ResultSet{Outcomes: make([]sweep.Outcome, len(reqs))}
+	for i, r := range reqs {
+		set.Outcomes[i] = sweep.Outcome{Request: r, Result: get(r.Workload, r.System, r.Variant, r.Options)}
+	}
+	return set, nil
+}

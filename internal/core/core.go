@@ -151,6 +151,12 @@ func (cx *Context) core(cfg *sim.Config) sim.CoreModel {
 	return c
 }
 
+// release detaches cfg's core from the memory of the run that just
+// finished. A prefetcher that reads simulated memory (hwpf.IMP) holds
+// it, and a cached core must not keep a finished run's address space
+// alive: a long-lived context caches a core per configuration.
+func (cx *Context) release(cfg *sim.Config) { cx.cores[cfg].Hierarchy().SetPeek(nil) }
+
 // Run builds the requested variant of the workload and executes it on
 // the given machine configuration, using a fresh simulator. For tight
 // loops over many runs, prefer Context.Run, which recycles simulator
@@ -226,6 +232,7 @@ func (cx *Context) Run(w *workloads.Workload, cfg *sim.Config, v Variant, o Opti
 	mach := interp.NewOnCore(inst.Mod, cx.core(cfg))
 	mach.MaxInstrs = o.MaxInstrs
 	sum, err := inst.Exec(mach)
+	cx.release(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s on %s: %w", w.Name, v, cfg.Name, err)
 	}

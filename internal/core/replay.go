@@ -67,6 +67,7 @@ func (cx *Context) Record(w *workloads.Workload, cfg *sim.Config, v Variant, o O
 	tw := trace.NewWriter()
 	mach.RecordTo(tw)
 	sum, err := inst.Exec(mach)
+	cx.release(cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: record %s/%s on %s: %w", w.Name, v, cfg.Name, err)
 	}
@@ -103,6 +104,7 @@ func Record(w *workloads.Workload, cfg *sim.Config, v Variant, o Options) (*trac
 func (cx *Context) ReplayImage(im *interp.Image, cfg *sim.Config) (*Result, error) {
 	t := im.Trace()
 	st, err := im.Replay(cx.core(cfg))
+	cx.release(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: replay %s/%s on %s: %w", t.Meta.Workload, t.Meta.Variant, cfg.Name, err)
 	}

@@ -10,7 +10,7 @@ import (
 // benchIndirectSrc is an indirect-access kernel, buckets[keys[j]] +=
 // data[j] with a checksum: the shape the prefetch pass targets, and a
 // dense mix of loads, stores, geps, arithmetic, phis and branches for
-// the interpreter loop. Numbers are tracked in BENCH_sim.json.
+// the interpreter loop.
 const benchIndirectSrc = `module bench
 func kernel(%n: i64) -> i64 {
 entry:

@@ -2,10 +2,9 @@ package obs
 
 import "testing"
 
-// The instrumentation hot path must be allocation-free: these
-// benchmarks back the BENCH_sim.json "obs" entry, and CI's bench
-// smoke runs them. ReportAllocs makes a regression visible in the
-// numbers; TestHotPathZeroAlloc hard-fails on any allocation.
+// The instrumentation hot path must be allocation-free: CI's bench
+// smoke runs these benchmarks. ReportAllocs makes a regression visible
+// in the numbers; TestHotPathZeroAlloc hard-fails on any allocation.
 
 func BenchmarkCounterAdd(b *testing.B) {
 	reg := NewRegistry()

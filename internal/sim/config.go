@@ -105,8 +105,7 @@ type Config struct {
 
 	// Hardware prefetcher. HWPrefetcher selects the model the memory
 	// hierarchy drives (see internal/hwpf): "none", "stride",
-	// "nextline", "ghb" or "imp". Empty preserves the pre-hwpf
-	// behaviour: "stride" when StridePrefetch is set, else "none".
+	// "nextline", "ghb" or "imp". Empty means "none".
 	//
 	// The Stride* knobs predate the pluggable subsystem and now
 	// parameterise every model: Degree is candidates emitted per
@@ -118,7 +117,6 @@ type Config struct {
 	// page-crossing misses, the headroom software stride prefetches
 	// exploit (figure 5).
 	HWPrefetcher    string
-	StridePrefetch  bool
 	StrideDegree    int // candidates issued ahead once a pattern is confident
 	StrideConf      int // observations required before issuing
 	StrideFillLevel int // first cache level HW prefetches fill into
@@ -136,16 +134,12 @@ func (c *Config) CoreName() string {
 }
 
 // HWPrefetcherName resolves the effective hardware-prefetcher model:
-// an explicit HWPrefetcher wins; empty falls back to "stride" or
-// "none" according to the legacy StridePrefetch switch.
+// HWPrefetcher, with empty meaning "none".
 func (c *Config) HWPrefetcherName() string {
-	if c.HWPrefetcher != "" {
-		return c.HWPrefetcher
+	if c.HWPrefetcher == "" {
+		return hwpf.NameNone
 	}
-	if c.StridePrefetch {
-		return hwpf.NameStride
-	}
-	return hwpf.NameNone
+	return c.HWPrefetcher
 }
 
 // Validate reports configuration errors.
@@ -210,16 +204,16 @@ func DefaultConfig() *Config {
 			{Name: "L2", Size: 64 << 10, LineSize: 64, Assoc: 8, Latency: 12},
 			{Name: "L3", Size: 512 << 10, LineSize: 64, Assoc: 16, Latency: 36},
 		},
-		DRAMLatency:    200,
-		BytesPerCycle:  16,
-		PageSize:       4096,
-		TLBEntries:     64,
-		TLB2Entries:    512,
-		TLB2Latency:    8,
-		WalkLatency:    90,
-		PageWalkers:    2,
-		StridePrefetch: true,
-		StrideDegree:   4,
-		StrideConf:     2,
+		DRAMLatency:   200,
+		BytesPerCycle: 16,
+		PageSize:      4096,
+		TLBEntries:    64,
+		TLB2Entries:   512,
+		TLB2Latency:   8,
+		WalkLatency:   90,
+		PageWalkers:   2,
+		HWPrefetcher:  hwpf.NameStride,
+		StrideDegree:  4,
+		StrideConf:    2,
 	}
 }

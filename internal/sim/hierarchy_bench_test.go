@@ -4,8 +4,7 @@ import "testing"
 
 // The hierarchy micro-benchmarks drive the Access hot path directly,
 // without the interpreter on top, so regressions in the MSHR/TLB/stride
-// bookkeeping show up in isolation. Numbers are tracked in
-// BENCH_sim.json at the repository root.
+// bookkeeping show up in isolation.
 
 // lcg is a tiny deterministic PRNG so the random-access benchmarks are
 // reproducible and benchmark overhead stays negligible.

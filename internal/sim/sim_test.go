@@ -8,7 +8,7 @@ import (
 
 func testConfig() *Config {
 	cfg := DefaultConfig()
-	cfg.StridePrefetch = false // most tests want deterministic cache content
+	cfg.HWPrefetcher = "none" // most tests want deterministic cache content
 	return cfg
 }
 

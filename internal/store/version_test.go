@@ -158,8 +158,9 @@ func TestKeySensitivityCoreModel(t *testing.T) {
 }
 
 // TestKeySensitivityHWPrefetcher: the hardware-prefetcher axis is part
-// of the machine configuration, so it must be part of the key — both
-// as the explicit field and via the legacy StridePrefetch resolution.
+// of the machine configuration, so it must be part of the key. The five
+// models key apart, and a preset, which names its own model, keys
+// exactly like that model selected explicitly: one cell, one key.
 func TestKeySensitivityHWPrefetcher(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -170,7 +171,7 @@ func TestKeySensitivityHWPrefetcher(t *testing.T) {
 		System:   uarch.Haswell(),
 		Variant:  core.VariantPlain,
 	}
-	seen := map[string]string{s.Key(base): "default"}
+	seen := map[string]string{}
 	for _, name := range []string{"none", "stride", "nextline", "ghb", "imp"} {
 		req := base
 		req.System = uarch.WithHWPrefetcher(base.System, name)
@@ -180,7 +181,10 @@ func TestKeySensitivityHWPrefetcher(t *testing.T) {
 		}
 		seen[key] = name
 	}
-	if len(seen) != 6 {
-		t.Errorf("expected 6 distinct keys, got %d", len(seen))
+	if len(seen) != 5 {
+		t.Errorf("expected 5 distinct keys, got %d", len(seen))
+	}
+	if name := seen[s.Key(base)]; name != "stride" {
+		t.Errorf("the Haswell preset keys like hwpf=%q, want stride", name)
 	}
 }

@@ -4,9 +4,8 @@
 //
 // The headline number is the replay-vs-interpretation speedup on the
 // indirect kernel: replay skips SSA dispatch, operand evaluation and
-// simulated-memory traffic, touching only the timing model. CI pins it
-// in BENCH_sim.json (trace_replay vs trace_record / the interp
-// baseline).
+// simulated-memory traffic, touching only the timing model. Compare
+// trace_replay with trace_record and the interp baseline on one host.
 package trace_test
 
 import (

@@ -21,7 +21,10 @@
 // widths, window sizes and walker counts are kept at realistic values.
 package uarch
 
-import "repro/internal/sim"
+import (
+	"repro/internal/hwpf"
+	"repro/internal/sim"
+)
 
 // CacheScale is the factor by which cache and TLB capacities are
 // reduced relative to the real machines, matching the workload scaling
@@ -72,7 +75,7 @@ func Haswell() *sim.Config {
 		WalkLatency: 40,
 		PageWalkers: 2,
 
-		StridePrefetch:  true,
+		HWPrefetcher:    hwpf.NameStride,
 		StrideDegree:    4,
 		StrideConf:      2,
 		StrideFillLevel: 1, // Intel's streamer fills L2, not L1D
@@ -111,7 +114,7 @@ func XeonPhi() *sim.Config {
 
 		// The Phi's L2 stride prefetcher is weak; software prefetch is
 		// the recommended vehicle on this part (§2).
-		StridePrefetch:  true,
+		HWPrefetcher:    hwpf.NameStride,
 		StrideDegree:    2,
 		StrideConf:      3,
 		StrideFillLevel: 1,
@@ -150,7 +153,7 @@ func A57() *sim.Config {
 		WalkLatency: 90,
 		PageWalkers: 1, // the A57's single outstanding page-table walk
 
-		StridePrefetch:  true,
+		HWPrefetcher:    hwpf.NameStride,
 		StrideDegree:    4,
 		StrideConf:      2,
 		StrideFillLevel: 1,
@@ -186,7 +189,7 @@ func A53() *sim.Config {
 		WalkLatency: 70,
 		PageWalkers: 1,
 
-		StridePrefetch:  true,
+		HWPrefetcher:    hwpf.NameStride,
 		StrideDegree:    3,
 		StrideConf:      2,
 		StrideFillLevel: 1,
