@@ -569,30 +569,25 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int) (*Ticke
 		t.outs[i].Request = r
 	}
 
-	// Probe the cache outside the queue lock — it is disk I/O.
-	hits := make([]*core.Result, len(reqs))
-	nHits := 0
-	if q.cache != nil {
-		for i, r := range reqs {
-			if res, ok := q.cache.Get(r); ok {
-				hits[i] = res
-				nHits++
-			}
-		}
-	}
-
 	q.mu.Lock()
 	q.expireLocked()
 	q.submissions++
 	q.cellsSeen += int64(len(reqs))
-	q.cacheHits += int64(nHits)
 
-	// Admission control: count the genuinely new cells first.
+	// Probe the cache under the lock: Complete persists under it too, so
+	// a cell is never both gone from the live table and absent from the
+	// cache here, and re-enqueuing a completed cell cannot happen.
+	// Admission control then counts the genuinely new cells.
+	hits := make([]*core.Result, len(reqs))
 	newKeys := make(map[string]bool)
 	keys := make([]string, len(reqs))
 	for i, r := range reqs {
-		if hits[i] != nil {
-			continue
+		if q.cache != nil {
+			if res, ok := q.cache.Get(r); ok {
+				hits[i] = res
+				q.cacheHits++
+				continue
+			}
 		}
 		keys[i] = KeyOf(r)
 		if q.cells[keys[i]] == nil {
@@ -620,18 +615,6 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int) (*Ticke
 				c.prio = prio
 			}
 		} else {
-			// Re-probe the cache under the lock: the cell may have
-			// completed — and persisted, since Complete holds this lock
-			// across its Puts — after the unlocked probe above, and
-			// re-enqueuing it would simulate and persist the same cell a
-			// second time.
-			if q.cache != nil {
-				if res, ok := q.cache.Get(r); ok {
-					hits[i] = res
-					q.cacheHits++
-					continue
-				}
-			}
 			q.seq++
 			c = &cell{key: keys[i], req: r, spec: specs[i], prio: prio, seq: q.seq}
 			if r.ExecMode() == core.ExecReplay {
@@ -864,10 +847,10 @@ func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dro
 	}
 	// Persist while still holding the lock: a completed cell must never
 	// be simultaneously gone from the live table and absent from the
-	// cache, or a straggling Submit (whose unlocked probe missed) would
-	// re-enqueue it and the fleet would simulate — and persist — the
-	// cell twice. Submit's under-lock re-probe plus this ordering make
-	// "store Puts == distinct cells" hold unconditionally.
+	// cache, or a Submit would re-enqueue it and the fleet would
+	// simulate — and persist — the cell twice. Submit probes the cache
+	// under this lock, so this ordering makes "store Puts == distinct
+	// cells" hold unconditionally.
 	for _, d := range deliveries {
 		if d.err == nil && q.cache != nil {
 			if perr := q.cache.Put(d.c.req, d.res); perr != nil && q.onPutError != nil {

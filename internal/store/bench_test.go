@@ -33,9 +33,10 @@ func BenchmarkKey(b *testing.B) {
 	}
 }
 
-// BenchmarkGetHit measures a warm cache lookup: hash, read, decode,
-// rebuild the result. Compare against BenchmarkFreshSimulation — the
-// ratio is what a warm sweep saves per cell.
+// BenchmarkGetHit measures a warm cache lookup: hash, index lookup,
+// one positioned read of the log line, decode, rebuild the result.
+// Compare against BenchmarkFreshSimulation — the ratio is what a warm
+// sweep saves per cell.
 func BenchmarkGetHit(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {
@@ -57,8 +58,8 @@ func BenchmarkGetHit(b *testing.B) {
 	}
 }
 
-// BenchmarkPut measures persisting one result (object write + index
-// flush).
+// BenchmarkPut measures persisting one result: encode the object and
+// append it to the log in one write.
 func BenchmarkPut(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {

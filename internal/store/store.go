@@ -7,17 +7,20 @@
 //
 // Layout under the store directory:
 //
-//	objects/<k1k2>/<key>.json   one result per request, named by key
-//	index.jsonl                 append-only catalogue of the objects
+//	results.jsonl               append-only log, one result per line
+//	traces/<k1k2>/<key>.trace   one recorded trace per file (trace.go)
 //
-// The object files are the source of truth: Get never consults the
-// index, so a crash between an object write and an index append loses
-// nothing but a catalogue line. Object writes are atomic
-// (temp file + rename), which makes concurrent writers and interrupted
-// sweeps safe — a partially written entry is never visible under its
-// final name. The index is one JSON line per Put (O(1) per cell,
-// duplicates last-wins, torn tail lines skipped on load), so large
-// sweeps never rewrite a growing file.
+// Put appends one self-describing JSON object as one line with a
+// single O_APPEND write, so concurrent writers — goroutines, handles
+// or processes on one local filesystem — never interleave, and large
+// sweeps never rewrite a growing file. Each handle keeps an in-memory
+// index from key to the location of the key's last complete line
+// (duplicates are last-wins). Open builds it, and a miss extends it
+// with the complete lines appended since by any handle or process, so
+// daemons sharing a directory serve each other's results. Get reads
+// the indexed line back and checks its key: a line that does not
+// decode is a miss, never a wrong result. Open terminates a line torn
+// by a crash, so a tear costs only its own record.
 //
 // Keys are SHA-256 over a canonical JSON document containing the store
 // format version, a simulator-version salt (sim.StatsVersion), the
@@ -30,7 +33,7 @@
 package store
 
 import (
-	"bytes"
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -61,6 +64,7 @@ func DefaultSalt() string { return fmt.Sprintf("sim-stats-v%d", sim.StatsVersion
 // It implements sweep.Cache and is safe for concurrent use.
 type Store struct {
 	dir string
+	log string // dir/results.jsonl
 
 	// salt is the simulator-version component of every result key;
 	// tests override it via OpenSalted to prove invalidation.
@@ -71,9 +75,14 @@ type Store struct {
 	// (see trace.go); tests override it via OpenTraceSalted.
 	traceSalt string
 
-	// mu serialises appends to index.jsonl (and Index loads against
-	// them).
+	// mu guards index and scanned. Appends need no lock: each is one
+	// O_APPEND write.
 	mu sync.Mutex
+	// index maps a key to its last complete line in the log.
+	index map[string]span
+	// scanned is the length of the indexed prefix of the log; it always
+	// ends on a line boundary.
+	scanned int64
 
 	hits, misses, puts                atomic.Int64
 	traceHits, traceMisses, tracePuts atomic.Int64
@@ -139,10 +148,25 @@ func OpenSalted(dir, salt string) (*Store, error) {
 // it to prove that a trace.FormatVersion bump invalidates trace
 // objects without moving result keys.
 func OpenTraceSalted(dir, salt, traceSalt string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Store{dir: dir, salt: salt, traceSalt: traceSalt}, nil
+	s := &Store{
+		dir:       dir,
+		log:       filepath.Join(dir, "results.jsonl"),
+		salt:      salt,
+		traceSalt: traceSalt,
+		index:     make(map[string]span),
+	}
+	if s.scanLocked() { // s is not shared yet
+		// A crash tore the last line (or another process is still
+		// writing it, and this newline lands after its record): end it,
+		// so the next record starts a line of its own.
+		if err := s.appendLog([]byte("\n")); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+	}
+	return s, nil
 }
 
 // Dir returns the store's root directory.
@@ -212,8 +236,8 @@ type resultData struct {
 	PrefetchedUnusedL1 uint64
 }
 
-// object is the on-disk entry schema: the key coordinates repeated in
-// clear text (so an object file is self-describing) plus the result.
+// object is the schema of one log line: the key coordinates repeated
+// in clear text (so the log is self-describing) plus the result.
 type object struct {
 	Key      string
 	Salt     string
@@ -225,35 +249,15 @@ type object struct {
 	Result   resultData
 }
 
-// IndexEntry is the payload of one catalogue line of index.jsonl.
-type IndexEntry struct {
-	Workload string
-	Params   string
-	System   string
-	Variant  string
-	Options  core.Options
-	Salt     string
-}
-
-// indexLine is the index.jsonl per-line schema.
-type indexLine struct {
-	Key   string
-	Entry IndexEntry
-}
-
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.jsonl") }
-
-// objectPath shards objects by the first key byte, keeping directory
-// sizes sane for large sweeps.
-func (s *Store) objectPath(key string) string {
-	return filepath.Join(s.dir, "objects", key[:2], key+".json")
-}
+// span locates one line of the log: its offset and its length, newline
+// included.
+type span struct{ off, n int64 }
 
 // Get returns the cached result for the request, or (nil, false). An
-// unreadable or mismatched object is treated as a miss, never an
+// unreadable or mismatched record is treated as a miss, never an
 // error: the caller will recompute and Put over it.
 func (s *Store) Get(r sweep.Request) (*core.Result, bool) {
-	o, ok := s.loadObject(s.Key(r))
+	o, ok := s.lookup(s.Key(r))
 	if !ok {
 		s.misses.Add(1)
 		return nil, false
@@ -281,23 +285,77 @@ func (s *Store) Get(r sweep.Request) (*core.Result, bool) {
 	}, true
 }
 
-// loadObject reads one object by key. An object that does not decode,
-// or that names a different key, is a miss.
-func (s *Store) loadObject(key string) (*object, bool) {
-	data, err := os.ReadFile(s.objectPath(key))
+// lookup reads the object stored under key. When the index holds no
+// line for it, or the line does not decode to the key's object, it
+// extends the index with the lines appended since and tries once more.
+func (s *Store) lookup(key string) (*object, bool) {
+	s.mu.Lock()
+	at, ok := s.index[key]
+	s.mu.Unlock()
+	if ok {
+		if o, ok := s.read(key, at); ok {
+			return o, true
+		}
+	}
+	s.mu.Lock()
+	s.scanLocked()
+	next, ok := s.index[key]
+	s.mu.Unlock()
+	if !ok || next == at {
+		return nil, false
+	}
+	return s.read(key, next)
+}
+
+// read decodes the line at sp with one positioned read. A line that
+// does not decode, or names another key, is a miss.
+func (s *Store) read(key string, sp span) (*object, bool) {
+	f, err := os.Open(s.log)
 	if err != nil {
 		return nil, false
 	}
+	defer f.Close()
+	line := make([]byte, sp.n)
+	if _, err := f.ReadAt(line, sp.off); err != nil {
+		return nil, false
+	}
 	var o object
-	if json.Unmarshal(data, &o) != nil || o.Key != key {
+	if json.Unmarshal(line, &o) != nil || o.Key != key {
 		return nil, false
 	}
 	return &o, true
 }
 
-// Put persists the result under the request's key and records it in
-// the index. The object write is atomic, so concurrent Puts of the
-// same cell (identical content) and interrupted sweeps are both safe.
+// scanLocked extends the index with the complete lines appended to
+// the log since the last scan; the caller holds mu. A log that cannot
+// be read adds nothing, so its cells miss. torn reports a last line
+// with no newline yet, which stays unindexed.
+func (s *Store) scanLocked() (torn bool) {
+	f, err := os.Open(s.log)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	if _, err := f.Seek(s.scanned, io.SeekStart); err != nil {
+		return false
+	}
+	r := bufio.NewReader(f)
+	for {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			return err == io.EOF && len(line) > 0
+		}
+		var head struct{ Key string }
+		if json.Unmarshal(line, &head) == nil && head.Key != "" {
+			s.index[head.Key] = span{s.scanned, int64(len(line))}
+		}
+		s.scanned += int64(len(line))
+	}
+}
+
+// Put appends the result to the log under the request's key. The
+// append is one write, so concurrent Puts — of the same cell too, which
+// write identical records — and interrupted sweeps are both safe.
 func (s *Store) Put(r sweep.Request, res *core.Result) error {
 	key := s.Key(r)
 	o := object{
@@ -325,93 +383,29 @@ func (s *Store) Put(r sweep.Request, res *core.Result) error {
 			PrefetchedUnusedL1: res.PrefetchedUnusedL1,
 		},
 	}
-	data, err := json.MarshalIndent(&o, "", " ")
+	line, err := json.Marshal(&o)
 	if err != nil {
 		return fmt.Errorf("store: marshal object: %w", err)
 	}
-	path := s.objectPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := atomicWrite(path, data); err != nil {
+	if err := s.appendLog(append(line, '\n')); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.puts.Add(1)
-
-	line := indexLine{Key: key, Entry: IndexEntry{
-		Workload: o.Workload,
-		Params:   o.Params,
-		System:   o.System,
-		Variant:  o.Variant,
-		Options:  o.Options,
-		Salt:     o.Salt,
-	}}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendIndexLocked(line)
-}
-
-// Index loads the catalogue from disk: key -> coordinates. The index
-// is purely advisory and production paths never read it, so it is
-// parsed on demand rather than at Open. One JSON document per line; a
-// torn or corrupt line (crash mid-append) is skipped, duplicates are
-// last-wins — the objects stay authoritative either way.
-func (s *Store) Index() map[string]IndexEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]IndexEntry)
-	data, err := os.ReadFile(s.indexPath())
-	if err != nil {
-		return out
-	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		var l indexLine
-		if json.Unmarshal(line, &l) == nil && l.Key != "" {
-			out[l.Key] = l.Entry
-		}
-	}
-	return out
-}
-
-// appendIndexLocked appends one catalogue line; the caller holds mu.
-// O(1) per Put regardless of store size. Duplicate keys (re-puts,
-// cross-process writers) are harmless: loads are last-wins, and the
-// objects — the source of truth — never race.
-func (s *Store) appendIndexLocked(l indexLine) error {
-	data, err := json.Marshal(&l)
-	if err != nil {
-		return fmt.Errorf("store: marshal index line: %w", err)
-	}
-	f, err := os.OpenFile(s.indexPath(), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, werr := f.Write(append(data, '\n'))
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("store: %w", werr)
-	}
 	return nil
 }
 
-// atomicWrite writes data to path via a temp file in the same
-// directory plus rename, so readers only ever see complete files.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+// appendLog appends data to the log with one O_APPEND write, which a
+// local filesystem never interleaves with another appender's.
+func (s *Store) appendLog(data []byte) error {
+	f, err := os.OpenFile(s.log, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	_, werr := f.Write(data)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return werr
 }
 
 // Stats is a snapshot of cache traffic since Open. The Trace counters

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -235,48 +238,151 @@ func TestCachedResultFields(t *testing.T) {
 	}
 }
 
-// TestCorruptObjectIsMiss: an unreadable object, or one that names a
-// different key, degrades to a miss and is repaired by the next Put.
+// TestCorruptObjectIsMiss: a garbage line, an unterminated record (a
+// crash mid-append) and a well-formed line naming another key, each
+// appended to the log, are misses that cost only themselves, and the
+// next Put repairs the cell for a live handle and a fresh one. A line
+// that no longer names the key it was indexed under is a miss too.
 func TestCorruptObjectIsMiss(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	req := sweep.Request{
 		Workload: workloads.Tiny()[0],
 		System:   sim.DefaultConfig(),
 		Variant:  core.VariantPlain,
 	}
+	other := req
+	other.Variant = core.VariantAuto
 	res, err := core.Run(req.Workload, req.System, req.Variant, req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(req, res); err != nil {
+	// rec is the line a Put writes for req.
+	scratch, err := Open(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := scratch.Put(req, res); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := os.ReadFile(filepath.Join(scratch.Dir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// renamed is rec naming another key, at the same length.
+	key := scratch.Key(req)
+	renamed := strings.Replace(string(rec), key, strings.Repeat("0", len(key)), 1)
+	hits := func(s *Store, r sweep.Request) bool {
+		got, ok := s.Get(r)
+		return ok && got.Checksum == res.Checksum && got.Cycles == res.Cycles
+	}
 
-	key := s.Key(req)
-	path := filepath.Join(s.Dir(), "objects", key[:2], key+".json")
 	for _, corrupt := range []string{
-		"{not json",
-		`{"Key":"deadbeef","Result":{"Checksum":42}}`, // well-formed, wrong key
+		"{not json\n",
+		string(rec[:len(rec)/2]),
+		renamed,
 	} {
-		if err := os.WriteFile(path, []byte(corrupt), 0o644); err != nil {
+		dir := t.TempDir()
+		live, err := Open(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.Get(req); ok {
-			t.Fatalf("corrupt object %q served as a hit", corrupt)
-		}
-		if err := s.Put(req, res); err != nil {
+		if err := live.Put(other, res); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.Get(req); !ok {
-			t.Fatalf("re-put did not repair corrupt object %q", corrupt)
+		if err := live.appendLog([]byte(corrupt)); err != nil {
+			t.Fatal(err)
 		}
+		fresh, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*Store{live, fresh} {
+			if _, ok := s.Get(req); ok {
+				t.Fatalf("corrupt line %.40q served as a hit", corrupt)
+			}
+			if !hits(s, other) {
+				t.Fatalf("corrupt line %.40q lost the record before it", corrupt)
+			}
+		}
+		if err := fresh.Put(req, res); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*Store{fresh, live, reopened} {
+			if !hits(s, req) {
+				t.Fatalf("re-put did not repair corrupt line %.40q", corrupt)
+			}
+		}
+	}
+
+	// Rewrite the log under a live handle so the line it indexed for req
+	// names another key: the key check makes it a miss, and a Put
+	// repairs it.
+	dir := t.TempDir()
+	live, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Put(req, res); err != nil {
+		t.Fatal(err)
+	}
+	if !hits(live, req) {
+		t.Fatal("put entry misses")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "results.jsonl"), []byte(renamed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := live.Get(req); ok {
+		t.Fatal("line naming another key served as a hit")
+	}
+	if err := live.Put(req, res); err != nil {
+		t.Fatal(err)
+	}
+	if !hits(live, req) {
+		t.Fatal("re-put did not repair a line naming another key")
 	}
 }
 
-// TestIndexCatalogue: puts land in index.json and survive reopening.
+// TestHalfWrittenLine: a reader can see an append half done. The half
+// line is not indexed and the scan does not pass it, so once the write
+// completes the same handle serves the record.
+func TestHalfWrittenLine(t *testing.T) {
+	req := benchRequest()
+	res := &core.Result{Checksum: 7, Cycles: 2.5}
+	w, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Put(req, res); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := os.ReadFile(filepath.Join(w.Dir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.appendLog(rec[:len(rec)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(req); ok {
+		t.Fatal("half-written line served as a hit")
+	}
+	if err := s.appendLog(rec[len(rec)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(req); !ok || got.Checksum != res.Checksum {
+		t.Fatalf("completed line not served (hit %v)", ok)
+	}
+}
+
+// TestIndexCatalogue: the log is the catalogue — a Put's line names its
+// cell in clear text — and a reopened store serves the cell.
 func TestIndexCatalogue(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -287,6 +393,7 @@ func TestIndexCatalogue(t *testing.T) {
 		Workload: workloads.Tiny()[0],
 		System:   sim.DefaultConfig(),
 		Variant:  core.VariantPlain,
+		Options:  core.Options{C: 16, Hoist: true},
 	}
 	res, err := core.Run(req.Workload, req.System, req.Variant, req.Options)
 	if err != nil {
@@ -295,22 +402,101 @@ func TestIndexCatalogue(t *testing.T) {
 	if err := s.Put(req, res); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "index.jsonl")); err != nil {
-		t.Fatalf("index.jsonl missing: %v", err)
+	data, err := os.ReadFile(filepath.Join(dir, "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o object
+	if bytes.Count(data, []byte("\n")) != 1 || json.Unmarshal(data, &o) != nil {
+		t.Fatalf("log after one Put is not one object line:\n%s", data)
+	}
+	if o.Key != s.Key(req) || o.Salt != s.Salt() || o.Workload != req.Workload.Name ||
+		o.Params != req.Workload.Params || o.System != req.System.Name ||
+		o.Variant != string(req.Variant) || o.Options != req.Options {
+		t.Errorf("log line does not name its cell: %+v", o)
 	}
 
 	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := reopened.Index()
-	e, ok := idx[s.Key(req)]
-	if !ok {
-		t.Fatalf("reopened index lacks entry; have %d entries", len(idx))
+	if got, ok := reopened.Get(req); !ok || got.Checksum != res.Checksum {
+		t.Fatalf("reopened store does not serve the cell (hit %v)", ok)
 	}
-	if e.Workload != req.Workload.Name || e.Params != req.Workload.Params ||
-		e.System != req.System.Name || e.Variant != string(req.Variant) {
-		t.Errorf("index entry mismatch: %+v", e)
+}
+
+// TestConcurrentHandles: two handles on one directory, eight goroutines
+// each, probing and putting overlapping cells the way sweeps do. Every
+// hit is the cell's own result; afterwards both handles serve every
+// cell, every line decodes, and the log holds one line per Put.
+func TestConcurrentHandles(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cells, goroutines = 24, 8
+	reqs := make([]sweep.Request, cells)
+	for i := range reqs {
+		reqs[i] = sweep.Request{
+			Workload: workloads.Tiny()[0],
+			System:   sim.DefaultConfig(),
+			Variant:  core.VariantAuto,
+			Options:  core.Options{C: int64(i + 1)},
+		}
+	}
+	// The store does not interpret results, so each cell's is made up
+	// from the cell's index.
+	result := func(i int) *core.Result { return &core.Result{Checksum: int64(i), Cycles: float64(i) + 0.5} }
+	served := func(got *core.Result, i int) bool { return got.Checksum == int64(i) && got.Cycles == float64(i)+0.5 }
+
+	var wg sync.WaitGroup
+	for _, s := range []*Store{a, b} {
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(s *Store, g int) {
+				defer wg.Done()
+				for j := 0; j < cells; j++ {
+					i := (3*g + j) % cells
+					got, ok := s.Get(reqs[i])
+					if ok && !served(got, i) {
+						t.Errorf("cell %d served %+v", i, *got)
+					}
+					if !ok || j%4 == 0 {
+						if err := s.Put(reqs[i], result(i)); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}(s, g)
+		}
+	}
+	wg.Wait()
+
+	for _, s := range []*Store{a, b} {
+		for i, r := range reqs {
+			if got, ok := s.Get(r); !ok || !served(got, i) {
+				t.Errorf("cell %d: hit %v after the writers finished", i, ok)
+			}
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	for n, line := range lines {
+		var o object
+		if err := json.Unmarshal(line, &o); err != nil || o.Key == "" {
+			t.Errorf("line %d does not decode (%v): %.60q", n+1, err, line)
+		}
+	}
+	if puts := a.Stats().Puts + b.Stats().Puts; int64(len(lines)) != puts {
+		t.Errorf("log has %d lines for %d Puts", len(lines), puts)
 	}
 }
 
@@ -354,4 +540,54 @@ func TestResumedSweep(t *testing.T) {
 	if st.Hits != int64(len(reqs)/2) || st.Puts != int64(len(reqs)-len(reqs)/2) {
 		t.Errorf("resume stats = %+v, want %d hits and %d puts", st, len(reqs)/2, len(reqs)-len(reqs)/2)
 	}
+}
+
+// FuzzStoreLog feeds arbitrary bytes to the store as its log. Open,
+// Get, Put and a second Open must not panic, and whatever the log held
+// before it, the Put must be served by a fresh handle.
+func FuzzStoreLog(f *testing.F) {
+	req := sweep.Request{
+		Workload: workloads.Tiny()[0],
+		System:   sim.DefaultConfig(),
+		Variant:  core.VariantAuto,
+		Options:  core.Options{C: 16},
+	}
+	res := &core.Result{Checksum: 42, Cycles: 1.5}
+	seed, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := seed.Put(req, res); err != nil {
+		f.Fatal(err)
+	}
+	rec, err := os.ReadFile(filepath.Join(seed.Dir(), "results.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(rec[:len(rec)-9])                                                            // a torn tail
+	f.Add([]byte(`{"Result":{"Checksum":7}}` + "\n"))                                  // no Key
+	f.Add([]byte(`{"Key":"` + strings.Repeat("a", 1<<20) + `"}` + "\n" + string(rec))) // a line over 1 MiB
+
+	f.Fuzz(func(t *testing.T, log []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "results.jsonl"), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Get(req)
+		if err := s.Put(req, res); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := fresh.Get(req); !ok || got.Checksum != res.Checksum || got.Cycles != res.Cycles {
+			t.Fatalf("fresh handle does not serve the last Put (hit %v)", ok)
+		}
+	})
 }

@@ -16,9 +16,9 @@ import (
 // Trace objects: recorded (workload, variant) event streams, cached so
 // a replay sweep only ever interprets a kernel that no store has seen.
 //
-// Traces live in their own namespace (traces/ next to objects/) with
-// their own key document and their own version salt, and the two key
-// spaces treat the request coordinates differently:
+// Traces live in their own namespace (traces/ next to results.jsonl)
+// with their own key document and their own version salt, and the two
+// key spaces treat the request coordinates differently:
 //
 //   - Result keys EXCLUDE the execution mode. Direct and replay runs of
 //     a cell are byte-for-byte identical (the golden harness diffs
@@ -77,7 +77,8 @@ func (s *Store) TraceKey(r sweep.Request) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// tracePath shards trace objects like result objects.
+// tracePath shards trace objects by the first key byte, keeping
+// directory sizes sane for large sweeps.
 func (s *Store) tracePath(key string) string {
 	return filepath.Join(s.dir, "traces", key[:2], key+".trace")
 }
@@ -101,10 +102,9 @@ func (s *Store) GetTrace(r sweep.Request) (*trace.Trace, bool) {
 	return t, true
 }
 
-// PutTrace persists the trace under the request's trace key. Atomic
-// like result Puts; not catalogued in index.jsonl, which is a result
-// index (traces are derived artifacts, re-recordable from the request
-// alone).
+// PutTrace persists the trace under the request's trace key, one file
+// per trace written atomically. Traces stay out of results.jsonl: they
+// are large, derived artifacts, re-recordable from the request alone.
 func (s *Store) PutTrace(r sweep.Request, t *trace.Trace) error {
 	path := s.tracePath(s.TraceKey(r))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -115,4 +115,22 @@ func (s *Store) PutTrace(r sweep.Request, t *trace.Trace) error {
 	}
 	s.tracePuts.Add(1)
 	return nil
+}
+
+// atomicWrite writes data to path via a temp file in the same
+// directory plus rename, so readers only ever see complete files.
+func atomicWrite(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

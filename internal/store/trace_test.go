@@ -205,8 +205,8 @@ func TestCorruptTraceIsAMiss(t *testing.T) {
 }
 
 // TestStoreBackedReplaySweep wires the real store into a replay sweep:
-// a cold sweep persists one trace per group; wiping the result objects
-// but keeping the traces lets the next sweep replay everything without
+// a cold sweep persists one trace per group; wiping the result log but
+// keeping the traces lets the next sweep replay everything without
 // re-recording.
 func TestStoreBackedReplaySweep(t *testing.T) {
 	dir := t.TempDir()
@@ -230,7 +230,7 @@ func TestStoreBackedReplaySweep(t *testing.T) {
 
 	// A fresh store over the same directory with the results gone: every
 	// cell recomputes as a replay of the persisted traces.
-	if err := os.RemoveAll(filepath.Join(dir, "objects")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "results.jsonl")); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir)
