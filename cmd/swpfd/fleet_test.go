@@ -336,22 +336,23 @@ func TestFleetWorkerLoop(t *testing.T) {
 		client:      &http.Client{},
 		log:         obs.Discard(),
 	}
-	for drained := false; !drained; {
+	// Lease until every cell is out: a lease request on an empty queue
+	// would wait out the coordinator's bound before its 204.
+	for leased := 0; leased < cells; {
 		l, rid, err := w.lease()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if l == nil {
-			drained = true
-			continue
+			t.Fatalf("lease answered 204 with %d of %d cells leased", leased, cells)
 		}
 		if rid == "" {
 			t.Fatal("lease response carried no request ID")
 		}
-		if err := w.execute(l, rid); err != nil {
-			t.Fatal(err)
-		}
+		leased += len(l.Cells)
+		w.execute(l, rid)
 	}
+	w.reporting.Wait() // the last report is still in flight
 
 	final := poll(t, ts, id)
 	if final.State != stateDone || final.Done != cells {
@@ -417,13 +418,19 @@ func TestFleetWorkerLoop(t *testing.T) {
 // TestLeaseExpiryOverHTTP: a worker that leases cells and vanishes
 // (never completes, never heartbeats) loses the lease after the TTL;
 // the cells requeue and a second worker finishes the job — the
-// HTTP-level twin of the e2e worker-kill test.
+// HTTP-level twin of the e2e worker-kill test. The second worker's
+// lease request, sent while the cells are held, waits at the
+// coordinator and is answered with the requeued cells once the TTL has
+// passed.
 func TestLeaseExpiryOverHTTP(t *testing.T) {
-	ts := coordinatorOnly(t, config{leaseTTL: 50 * time.Millisecond})
+	const ttl = 50 * time.Millisecond
+	ts := coordinatorOnly(t, config{leaseTTL: ttl})
 
 	id, cells := submit(t, ts, `{"workloads":"IS","systems":"A53","variants":"plain,auto","quality":"tiny"}`)
 
-	// The doomed worker takes everything and dies.
+	// The doomed worker takes everything and dies. Its TTL runs from
+	// the grant, which is no earlier than granted.
+	granted := time.Now()
 	code, body := post(t, ts, "/fleet/lease", `{"worker":"doomed","max":99}`)
 	if code != http.StatusOK {
 		t.Fatalf("lease = %d: %s", code, body)
@@ -436,24 +443,19 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 		t.Fatalf("doomed worker leased %d cells, want %d", len(l.Cells), cells)
 	}
 
-	// Until the TTL elapses there is nothing to lease; afterwards the
-	// cells are back.
-	if code, _ := post(t, ts, "/fleet/lease", `{"worker":"w2"}`); code != http.StatusNoContent {
-		t.Fatalf("second lease while held = %d, want 204", code)
-	}
-	time.Sleep(60 * time.Millisecond)
-
 	w := &fleetWorker{coordinator: ts.URL, name: "w2", jobs: 1, batch: 99, client: &http.Client{}, log: obs.Discard()}
 	l2, rid, err := w.lease()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if waited := time.Since(granted); waited < ttl {
+		t.Errorf("second lease answered %v after the doomed grant, before the %v TTL", waited, ttl)
+	}
 	if l2 == nil || len(l2.Cells) != cells {
 		t.Fatalf("requeued lease wrong: %+v", l2)
 	}
-	if err := w.execute(l2, rid); err != nil {
-		t.Fatal(err)
-	}
+	w.execute(l2, rid)
+	w.reporting.Wait()
 	if final := poll(t, ts, id); final.State != stateDone || final.Done != cells {
 		t.Fatalf("job after requeue: %+v", final)
 	}
@@ -469,4 +471,86 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 	if fs.Queue.Requeued < int64(cells) {
 		t.Errorf("requeued = %d, want >= %d", fs.Queue.Requeued, cells)
 	}
+}
+
+// waitInflight polls GET /metrics until swpf_http_inflight_requests
+// reads want; the scrape itself counts as one.
+func waitInflight(t *testing.T, ts *httptest.Server, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, body := fetch(t, ts, "/metrics")
+		samples, err := obs.ParseText(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := obs.Find(samples, "swpf_http_inflight_requests")
+		if s != nil && s.Value == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight requests = %+v, want %v", s, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestLeaseWaitsForWork: a lease request parked on an idle coordinator
+// is answered with cells right after a submission, well inside the
+// 200 ms an idle worker used to sleep between polls.
+func TestLeaseWaitsForWork(t *testing.T) {
+	ts := coordinatorOnly(t, config{})
+	type reply struct {
+		code int
+		body []byte
+		at   time.Time
+	}
+	got := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/fleet/lease", "application/json", strings.NewReader(`{"worker":"idle","max":99}`))
+		if err != nil {
+			got <- reply{}
+			return
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		got <- reply{resp.StatusCode, buf.Bytes(), time.Now()}
+	}()
+	waitInflight(t, ts, 2) // the parked lease request and the scrape
+
+	id, cells := submit(t, ts, `{"workloads":"IS","systems":"A53","variants":"plain,auto","quality":"tiny"}`)
+	submitted := time.Now()
+	var r reply
+	select {
+	case r = <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked lease request not answered after a submission")
+	}
+	if r.code != http.StatusOK {
+		t.Fatalf("parked lease = %d: %s", r.code, r.body)
+	}
+	if late := r.at.Sub(submitted); late > 150*time.Millisecond {
+		t.Errorf("parked lease answered %v after the submission returned", late)
+	}
+	var l fleet.Lease
+	if err := json.Unmarshal(r.body, &l); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Cells) != cells {
+		t.Fatalf("parked lease carried %d cells of job %s, want %d", len(l.Cells), id, cells)
+	}
+}
+
+// TestLeaseClientGivesUp: a lease request whose client goes away stops
+// waiting, releasing its handler long before the coordinator's bound.
+func TestLeaseClientGivesUp(t *testing.T) {
+	ts := coordinatorOnly(t, config{})
+	client := &http.Client{Timeout: 50 * time.Millisecond}
+	resp, err := client.Post(ts.URL+"/fleet/lease", "application/json", strings.NewReader(`{"worker":"impatient"}`))
+	if err == nil {
+		resp.Body.Close()
+		t.Fatalf("lease on an idle coordinator answered %d inside 50 ms", resp.StatusCode)
+	}
+	waitInflight(t, ts, 1) // only the scrape
 }

@@ -58,6 +58,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -860,8 +861,13 @@ type LeaseRequest struct {
 	Max    int    `json:"max"`
 }
 
-// handleLease hands the worker a batch of cells, or 204 when nothing
-// is pending (the worker polls again).
+// leaseWait bounds how long POST /fleet/lease waits for work before it
+// answers 204, well inside the worker's 30 s client timeout.
+const leaseWait = 10 * time.Second
+
+// handleLease hands the worker a batch of cells as soon as any is
+// pending, waiting up to leaseWait for one; 204 means nothing arrived
+// in that time, and the worker asks again at once.
 func (s *server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -875,7 +881,9 @@ func (s *server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if req.Max <= 0 {
 		req.Max = s.cfg.leaseBatch
 	}
-	l := s.queue.Lease(req.Worker, req.Max)
+	ctx, cancel := context.WithTimeout(r.Context(), leaseWait)
+	defer cancel()
+	l := s.queue.LeaseWait(ctx, req.Worker, req.Max)
 	if l == nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -962,11 +970,7 @@ func (s *server) localWorker(name string) {
 	cache := s.workerCache()
 	log := s.cfg.logger.With("worker", name)
 	for {
-		l := s.queue.Lease(name, s.cfg.leaseBatch)
-		if l == nil {
-			s.queue.WaitWork(time.Second)
-			continue
-		}
+		l := s.queue.LeaseWait(context.Background(), name, s.cfg.leaseBatch)
 		log.Debug("lease", "lease", l.ID, "cells", len(l.Cells))
 		stop := make(chan struct{})
 		go func() {

@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/fleet"
@@ -30,12 +31,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// workerPoll is how often an idle worker asks for work; workerBackoffMax
-// caps the reconnect backoff after coordinator errors.
-const (
-	workerPoll       = 200 * time.Millisecond
-	workerBackoffMax = 5 * time.Second
-)
+// workerBackoffMax caps the reconnect backoff after coordinator errors.
+const workerBackoffMax = 5 * time.Second
 
 // resolveWorkload is the fleet.WorkloadResolver backed by the daemon's
 // memoized pools — the same pools submission validation uses, so
@@ -53,9 +50,11 @@ func resolveWorkload(quality, name string) (*sweep.Request, error) {
 	return nil, fmt.Errorf("unknown workload %q in the %s pool", name, quality)
 }
 
-// runWorker is the worker-mode main loop: poll the coordinator for
-// leases until killed. Coordinator outages are retried with capped
-// exponential backoff — a worker outlives coordinator restarts.
+// runWorker is the worker-mode main loop: ask the coordinator for
+// leases until killed. A lease request waits at the coordinator until
+// work arrives, so an idle worker neither sleeps nor polls. Coordinator
+// outages are retried with capped exponential backoff — a worker
+// outlives coordinator restarts.
 func runWorker(coordinator, name string, jobs, batch int, log *slog.Logger) error {
 	coordinator = strings.TrimRight(coordinator, "/")
 	if !strings.Contains(coordinator, "://") {
@@ -85,12 +84,8 @@ func runWorker(coordinator, name string, jobs, batch int, log *slog.Logger) erro
 			continue
 		}
 		backoff = 100 * time.Millisecond
-		if l == nil {
-			time.Sleep(workerPoll)
-			continue
-		}
-		if err := w.execute(l, rid); err != nil {
-			w.log.Warn("execute failed", "rid", rid, "err", err)
+		if l != nil { // a 204 comes after the coordinator waited for work
+			w.execute(l, rid)
 		}
 	}
 }
@@ -102,6 +97,7 @@ type fleetWorker struct {
 	batch       int
 	client      *http.Client
 	log         *slog.Logger
+	reporting   sync.WaitGroup // the completion report in flight
 }
 
 // post sends one JSON request and decodes the JSON reply into out
@@ -157,13 +153,15 @@ func (w *fleetWorker) lease() (*fleet.Lease, string, error) {
 
 // execute reconstructs a lease's cells, runs them, and reports every
 // cell — results for the runnable ones, errors for the rest — while a
-// background heartbeat keeps the lease alive. The whole batch logs
-// under rid, the coordinator's ID for the lease request.
-func (w *fleetWorker) execute(l *fleet.Lease, rid string) error {
+// background heartbeat keeps the lease alive until the report returns.
+// The report goes out from a goroutine once the previous lease's report
+// has returned, so the caller's next lease request overlaps it and at
+// most one report is in flight; reporting.Wait waits for it. The whole
+// batch logs under rid, the coordinator's ID for the lease request.
+func (w *fleetWorker) execute(l *fleet.Lease, rid string) {
 	log := w.log.With("rid", rid, "lease", l.ID)
 	log.Info("lease", "cells", len(l.Cells), "ttl", l.TTL().String())
 	stop := make(chan struct{})
-	defer close(stop)
 	go func() {
 		t := time.NewTicker(heartbeatEvery(l.TTL()))
 		defer t.Stop()
@@ -221,16 +219,22 @@ func (w *fleetWorker) execute(l *fleet.Lease, rid string) error {
 	}
 	log.Info("execute", "cells", len(l.Cells), "dur", elapsed.String())
 
-	var rep struct {
-		Accepted int `json:"accepted"`
-		Dropped  int `json:"dropped"`
-	}
-	if _, _, err := w.post("/fleet/complete", rid, CompleteRequest{Lease: l.ID, Worker: w.name, Results: results}, &rep); err != nil {
-		return fmt.Errorf("reporting lease %s: %w", l.ID, err)
-	}
-	log.Info("complete", "accepted", rep.Accepted, "dropped", rep.Dropped, "dur", elapsed.String())
-	if rep.Dropped > 0 {
-		log.Warn("duplicate cells dropped by coordinator", "dropped", rep.Dropped)
-	}
-	return nil
+	w.reporting.Wait()
+	w.reporting.Add(1)
+	go func() {
+		defer w.reporting.Done()
+		defer close(stop)
+		var rep struct {
+			Accepted int `json:"accepted"`
+			Dropped  int `json:"dropped"`
+		}
+		if _, _, err := w.post("/fleet/complete", rid, CompleteRequest{Lease: l.ID, Worker: w.name, Results: results}, &rep); err != nil {
+			log.Warn("report failed", "err", err)
+			return
+		}
+		log.Info("complete", "accepted", rep.Accepted, "dropped", rep.Dropped, "dur", elapsed.String())
+		if rep.Dropped > 0 {
+			log.Warn("duplicate cells dropped by coordinator", "dropped", rep.Dropped)
+		}
+	}()
 }

@@ -36,12 +36,15 @@
 //     preserving the one-interpretation-per-group amortization of
 //     internal/trace across the fleet.
 //
-// Expiry is lazy: expired leases are reaped on the next Submit, Lease,
-// Complete, Heartbeat or Stats call rather than by a background timer,
-// which keeps the queue deterministic under test clocks.
+// Expiry is lazy: expired leases are reaped on the next Submit,
+// LeaseWait, Complete, Heartbeat or Stats call rather than by a
+// background timer, which keeps the queue deterministic under test
+// clocks. A LeaseWait sleeper wakes at the earliest lease deadline to
+// make that call.
 package fleet
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -122,7 +125,8 @@ type WorkloadResolver func(quality, name string) (*sweep.Request, error)
 // spec fills in system, variant, options and exec. The resolved
 // workload's Params must match the spec's — a mismatch means the two
 // processes disagree about what the name denotes, and running it would
-// silently compute the wrong cell.
+// silently compute the wrong cell. A machine configuration the
+// simulator would reject is an error here, before it reaches it.
 func (c CellSpec) Request(resolve WorkloadResolver) (sweep.Request, error) {
 	tmpl, err := resolve(c.Quality, c.Workload)
 	if err != nil {
@@ -135,6 +139,9 @@ func (c CellSpec) Request(resolve WorkloadResolver) (sweep.Request, error) {
 	var cfg sim.Config
 	if err := json.Unmarshal(c.System, &cfg); err != nil {
 		return sweep.Request{}, fmt.Errorf("fleet: unmarshal system: %w", err)
+	}
+	if err := cfg.Validate(); err != nil {
+		return sweep.Request{}, fmt.Errorf("fleet: %w", err)
 	}
 	return sweep.Request{
 		Workload: tmpl.Workload,
@@ -671,41 +678,55 @@ func (q *Queue) removePendingLocked(c *cell) {
 	}
 }
 
-// notifyLocked wakes every WaitWork sleeper.
+// notifyLocked wakes every LeaseWait sleeper.
 func (q *Queue) notifyLocked() {
 	close(q.wake)
 	q.wake = make(chan struct{})
 }
 
-// WaitWork blocks until new work may be available or the timeout
-// elapses — the idle loop of an in-process worker.
-func (q *Queue) WaitWork(timeout time.Duration) {
-	q.mu.Lock()
-	if len(q.pending) > 0 {
+// LeaseWait hands the worker a batch of up to max pending cells,
+// highest priority first. A replay cell pulls its entire pending group
+// into the lease — possibly exceeding max — so one worker records the
+// group's trace and replays every cell of it. With nothing pending it
+// waits for work: it sleeps until a submission or a requeue wakes it,
+// or until the earliest outstanding lease's deadline passes, so an
+// expired lease's cells reach a waiting worker without any poll, and
+// then tries again. It returns nil once ctx ends; under an ended ctx
+// it leases only what is pending now. Cells and the wake channel are
+// read under one lock, so no wake-up is lost.
+func (q *Queue) LeaseWait(ctx context.Context, worker string, max int) *Lease {
+	for {
+		q.mu.Lock()
+		if l := q.leaseLocked(worker, max); l != nil {
+			q.mu.Unlock()
+			return l
+		}
+		wake := q.wake
+		var first time.Time // the earliest lease deadline
+		for _, o := range q.leases {
+			if first.IsZero() || o.deadline.Before(first) {
+				first = o.deadline
+			}
+		}
+		var expire <-chan time.Time
+		if !first.IsZero() {
+			expire = time.After(first.Sub(q.now()))
+		}
 		q.mu.Unlock()
-		return
-	}
-	ch := q.wake
-	q.mu.Unlock()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-ch:
-	case <-timer.C:
+		select {
+		case <-wake:
+		case <-expire:
+		case <-ctx.Done():
+			return nil
+		}
 	}
 }
 
-// Lease hands the worker a batch of up to max pending cells (highest
-// priority first), or nil when nothing is pending. A replay cell pulls
-// its entire pending group into the lease — possibly exceeding max —
-// so one worker records the group's trace and replays every cell of
-// it.
-func (q *Queue) Lease(worker string, max int) *Lease {
+// leaseLocked leases what is pending now, or returns nil.
+func (q *Queue) leaseLocked(worker string, max int) *Lease {
 	if max <= 0 {
 		max = 1
 	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	q.expireLocked()
 	q.workers[worker] = q.now()
 	if len(q.pending) == 0 {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -50,13 +51,21 @@ func fakeResult(i int) *ResultData {
 	return &ResultData{Checksum: int64(1000 + i), Cycles: float64(i) + 0.5}
 }
 
+// leaseNow leases what is pending without waiting: LeaseWait under a
+// context that has already ended.
+func leaseNow(q *Queue, worker string, max int) *Lease {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return q.LeaseWait(ctx, worker, max)
+}
+
 // completeAll leases everything with one worker and completes each
 // lease with fabricated results; returns distinct cells completed.
 func completeAll(t *testing.T, q *Queue, worker string) int {
 	t.Helper()
 	n := 0
 	for {
-		l := q.Lease(worker, 64)
+		l := leaseNow(q, worker, 64)
 		if l == nil {
 			return n
 		}
@@ -140,7 +149,7 @@ func TestPriorities(t *testing.T) {
 	want := []string{KeyOf(promoted[0]), KeyOf(hi[0]), KeyOf(hi[1]), KeyOf(lo[1])}
 	var got []string
 	for {
-		l := q.Lease("w", 1)
+		l := leaseNow(q, "w", 1)
 		if l == nil {
 			break
 		}
@@ -206,16 +215,16 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := q.Lease("dead", 64)
+	dead := leaseNow(q, "dead", 64)
 	if dead == nil || len(dead.Cells) != len(reqs) {
 		t.Fatalf("first lease missing cells: %+v", dead)
 	}
-	if q.Lease("live", 64) != nil {
+	if leaseNow(q, "live", 64) != nil {
 		t.Fatal("second worker leased cells that are already out")
 	}
 
 	now = now.Add(1500 * time.Millisecond) // past TTL
-	release := q.Lease("live", 64)
+	release := leaseNow(q, "live", 64)
 	if release == nil || len(release.Cells) != len(reqs) {
 		t.Fatalf("expired cells not re-leased: %+v", release)
 	}
@@ -261,7 +270,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 	if _, err := q.Submit(reqs, specs, 0); err != nil {
 		t.Fatal(err)
 	}
-	l := q.Lease("w", 64)
+	l := leaseNow(q, "w", 64)
 	for i := 0; i < 5; i++ {
 		now = now.Add(700 * time.Millisecond)
 		if !q.Heartbeat(l.ID, "w") {
@@ -303,7 +312,7 @@ func TestReplayGroupLeasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		l := q.Lease("w", 1)
+		l := leaseNow(q, "w", 1)
 		if l == nil {
 			t.Fatalf("round %d: no lease", round)
 		}
@@ -322,7 +331,7 @@ func TestReplayGroupLeasing(t *testing.T) {
 		}
 		q.Complete(l.ID, "w", res)
 	}
-	if l := q.Lease("w", 1); l != nil {
+	if l := leaseNow(q, "w", 1); l != nil {
 		t.Fatalf("queue not drained after two group leases: %+v", l)
 	}
 }
@@ -395,7 +404,7 @@ func TestPartialReportRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := q.Lease("w", 64)
+	l := leaseNow(q, "w", 64)
 	if len(l.Cells) != 2 {
 		t.Fatalf("leased %d cells, want 2", len(l.Cells))
 	}
@@ -420,7 +429,7 @@ func TestErrorCellsFailWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := q.Lease("w", 64)
+	l := leaseNow(q, "w", 64)
 	var res []CellResult
 	for _, c := range l.Cells {
 		res = append(res, CellResult{Key: c.Key, Err: "simulated crash"})
@@ -461,6 +470,31 @@ func TestCellSpecRoundTrip(t *testing.T) {
 		if got.Exec != core.ExecReplay {
 			t.Fatalf("spec %d lost the exec mode: %q", i, got.Exec)
 		}
+	}
+}
+
+// TestCellSpecRejectsBadSystem: a wire machine configuration that
+// sim.Config.Validate rejects becomes the cell's error instead of
+// reaching the simulator, which would panic on it.
+func TestCellSpecRejectsBadSystem(t *testing.T) {
+	reqs, _ := tinyReqs(t, 1, core.ExecDirect)
+	bad := *reqs[0].System
+	bad.Caches = append([]sim.CacheConfig(nil), bad.Caches...)
+	bad.Caches[0].LineSize = 48
+	reqs[0].System = &bad
+	sp, err := SpecFor("tiny", reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(_, name string) (*sweep.Request, error) {
+		ws, err := sweep.SelectWorkloads(tinyPool(), name)
+		if err != nil {
+			return nil, err
+		}
+		return &sweep.Request{Workload: ws[0]}, nil
+	}
+	if _, err := sp.Request(resolve); err == nil || !strings.Contains(err.Error(), bad.Validate().Error()) {
+		t.Fatalf("Request with a 48-byte L1 line = %v, want the validation error", err)
 	}
 }
 

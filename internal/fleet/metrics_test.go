@@ -24,7 +24,7 @@ func TestQueueMetrics(t *testing.T) {
 	if _, err := q.Submit(reqs, specs, 0); err != nil {
 		t.Fatal(err)
 	}
-	l := q.Lease("w1", 64)
+	l := leaseNow(q, "w1", 64)
 	if l == nil {
 		t.Fatal("no lease")
 	}

@@ -26,6 +26,7 @@
 package sweep
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -220,7 +221,7 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 	// its image. It returns the image and the number of the group's
 	// cells the opening completed: the recorded one, or all of them
 	// on failure.
-	open := func(cx *core.Context, g *group) (*interp.Image, int) {
+	open := func(w *worker, g *group) (*interp.Image, int) {
 		req := reqs[g.idxs[0]]
 		if tc != nil {
 			if t, ok := tc.GetTrace(req); ok {
@@ -232,11 +233,16 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 			}
 		}
 		start := time.Now()
-		t, res, err := cx.Record(req.Workload, req.System, req.Variant, req.Options)
+		var t *trace.Trace
+		var res *core.Result
 		var im *interp.Image
-		if err == nil && len(g.idxs) > 1 {
-			im, err = interp.NewImage(t)
-		}
+		err := w.do(req, func(cx *core.Context) (err error) {
+			t, res, err = cx.Record(req.Workload, req.System, req.Variant, req.Options)
+			if err == nil && len(g.idxs) > 1 {
+				im, err = interp.NewImage(t)
+			}
+			return err
+		})
 		m.RecordSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
 			for _, i := range g.idxs {
@@ -266,24 +272,29 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cx := core.NewContext()
+			w := &worker{core.NewContext()}
 			for t, ok := s.take(); ok; t, ok = s.take() {
 				if t.open {
-					im, n := open(cx, t.g)
+					im, n := open(w, t.g)
 					s.opened(t.g, im, n)
 					continue
 				}
 				req := reqs[t.cell]
 				start := time.Now()
 				var res *core.Result
-				var err error
+				err := w.do(req, func(cx *core.Context) (err error) {
+					if t.g == nil {
+						res, err = cx.Run(req.Workload, req.System, req.Variant, req.Options)
+					} else {
+						// Retimed from the group's image, shared read-only.
+						res, err = cx.ReplayImage(t.image, req.System)
+					}
+					return err
+				})
 				if t.g == nil {
-					res, err = cx.Run(req.Workload, req.System, req.Variant, req.Options)
 					m.DirectSeconds.Observe(time.Since(start).Seconds())
 					m.CellsDirect.Inc()
 				} else {
-					// Retimed from the group's image, shared read-only.
-					res, err = cx.ReplayImage(t.image, req.System)
 					m.ReplaySeconds.Observe(time.Since(start).Seconds())
 					m.CellsReplayed.Inc()
 				}
@@ -300,6 +311,23 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 
 	set := &ResultSet{Outcomes: out}
 	return set, set.Err()
+}
+
+// worker is one pool goroutine's simulator context.
+type worker struct{ cx *core.Context }
+
+// do runs one simulator call for req, turning a panic into an error
+// that carries the panic value: a cell whose machine configuration the
+// simulator rejects fails alone instead of killing the process. The
+// context a panic may have left half-built is replaced.
+func (w *worker) do(req Request, f func(*core.Context) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			w.cx = core.NewContext()
+			err = fmt.Errorf("sweep: %s/%s on %s: panic: %v", req.Workload.Name, req.Variant, req.System.Name, p)
+		}
+	}()
+	return f(w.cx)
 }
 
 // schedule hands a sweep's misses to the worker pool: direct cells
