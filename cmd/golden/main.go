@@ -65,11 +65,10 @@ type record struct {
 	// HWPF: emitted only when the -core axis selects more than one
 	// model, so single-model dumps stay byte-identical to pre-axis
 	// dumps.
-	Core     string `json:",omitempty"`
-	Checksum int64
-	Cycles   float64
-	Stats    interface{}
-	Hier     map[string]interface{}
+	Core string `json:",omitempty"`
+	// The statistics are the result store's snapshot, so a dump holds
+	// every statistic a store line or a completion report carries.
+	core.ResultData
 }
 
 func main() {
@@ -155,7 +154,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	out := make([]record, 0, len(set.Outcomes))
 	for i := range set.Outcomes {
 		o := &set.Outcomes[i]
-		rec := snapshot(o.Workload.Name, o.System.Name, o.Variant, o.Result)
+		rec := record{Workload: o.Workload.Name, System: o.System.Name, Variant: string(o.Variant), ResultData: o.Result.Data()}
 		if len(hws) > 1 {
 			rec.HWPF = o.System.HWPrefetcherName()
 		}
@@ -167,26 +166,4 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
-}
-
-func snapshot(workload, system string, v core.Variant, res *core.Result) record {
-	return record{
-		Workload: workload,
-		System:   system,
-		Variant:  string(v),
-		Checksum: res.Checksum,
-		Cycles:   res.Cycles,
-		Stats:    res.Stats,
-		Hier: map[string]interface{}{
-			"L1Hits":             res.L1Hits,
-			"L1Misses":           res.L1Misses,
-			"DRAMAccesses":       res.DRAMAccesses,
-			"SWPrefetches":       res.SWPrefetches,
-			"HWPrefetches":       res.HWPrefetches,
-			"TLBWalks":           res.TLBWalks,
-			"LoadStallCycles":    res.LoadStallCycles,
-			"PrefetchLateCycles": res.PrefetchLateCycles,
-			"PrefetchedUnusedL1": res.PrefetchedUnusedL1,
-		},
-	}
 }

@@ -55,7 +55,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -279,8 +278,10 @@ func writeAxes(w io.Writer, q bench.Quality) error {
 
 // replayImported parses an external text trace (trace.ParseText) and
 // retimes it on every selected system x hardware-prefetcher cell,
-// emitting one record per cell. The trace decodes to one shared image,
-// so the import is paid once regardless of the cell count.
+// emitting the cells as sweep records (workload named after the file,
+// variant "imported", exec "replay"), like -sweep. The trace decodes to
+// one shared image, so the import is paid once regardless of the cell
+// count.
 func replayImported(path, systems, hwpfAxis string, jsonOut bool, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -305,63 +306,24 @@ func replayImported(path, systems, hwpfAxis string, jsonOut bool, stdout io.Writ
 		return err
 	}
 
-	type row struct {
-		Workload        string
-		System          string
-		HWPF            string
-		Cycles          float64
-		Instructions    uint64
-		Loads           uint64
-		Stores          uint64
-		SWPrefetches    uint64
-		L1Hits          uint64
-		L1Misses        uint64
-		DRAMAccesses    uint64
-		HWPrefetches    uint64
-		TLBWalks        uint64
-		LoadStallCycles float64
+	grid := sweep.Grid{
+		Workloads:     []*wkl.Workload{{Name: name}},
+		Systems:       cfgs,
+		HWPrefetchers: hws,
+		Variants:      []core.Variant{core.Variant(t.Meta.Variant)},
+		Execs:         []core.ExecMode{core.ExecReplay},
 	}
-	var rows []row
+	set := &sweep.ResultSet{}
 	cx := core.NewContext()
-	for _, cfg := range cfgs {
-		for _, hw := range hws {
-			sys := cfg
-			if hw != sweep.HWPrefetcherDefault {
-				sys = uarch.WithHWPrefetcher(cfg, hw)
-			}
-			res, err := cx.ReplayImage(im, sys)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row{
-				Workload:        res.Workload,
-				System:          res.System,
-				HWPF:            sys.HWPrefetcherName(),
-				Cycles:          res.Cycles,
-				Instructions:    res.Stats.Instructions,
-				Loads:           res.Stats.Loads,
-				Stores:          res.Stats.Stores,
-				SWPrefetches:    res.Stats.Prefetches,
-				L1Hits:          res.L1Hits,
-				L1Misses:        res.L1Misses,
-				DRAMAccesses:    res.DRAMAccesses,
-				HWPrefetches:    res.HWPrefetches,
-				TLBWalks:        res.TLBWalks,
-				LoadStallCycles: res.LoadStallCycles,
-			})
+	for _, req := range grid.Expand() {
+		res, err := cx.ReplayImage(im, req.System)
+		if err != nil {
+			return err
 		}
+		set.Outcomes = append(set.Outcomes, sweep.Outcome{Request: req, Result: res})
 	}
 	if jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", " ")
-		return enc.Encode(rows)
+		return set.WriteJSON(stdout)
 	}
-	fmt.Fprintln(stdout, "workload,system,hwpf,cycles,instructions,loads,stores,sw_prefetches,l1_hits,l1_misses,dram_accesses,hw_prefetches,tlb_walks,load_stall_cycles")
-	for _, r := range rows {
-		fmt.Fprintf(stdout, "%s,%s,%s,%v,%d,%d,%d,%d,%d,%d,%d,%d,%d,%v\n",
-			r.Workload, r.System, r.HWPF, r.Cycles, r.Instructions, r.Loads, r.Stores,
-			r.SWPrefetches, r.L1Hits, r.L1Misses, r.DRAMAccesses, r.HWPrefetches,
-			r.TLBWalks, r.LoadStallCycles)
-	}
-	return nil
+	return set.WriteCSV(stdout)
 }

@@ -178,10 +178,10 @@ func TestTraceImportReplay(t *testing.T) {
 		t.Fatalf("-trace: %v", err)
 	}
 	csv := out.String()
-	if !strings.HasPrefix(csv, "workload,system,hwpf,cycles") {
-		t.Errorf("trace replay header missing:\n%s", csv)
+	if !strings.HasPrefix(csv, "workload,system,variant,hwpf,core,exec,") {
+		t.Errorf("trace replay header is not the sweep header:\n%s", csv)
 	}
-	for _, want := range []string{"capture,Haswell,stride,", "capture,Haswell,none,", "capture,A53,none,"} {
+	for _, want := range []string{"capture,Haswell,imported,stride,", "capture,Haswell,imported,none,", "capture,A53,imported,none,"} {
 		if !strings.Contains(csv, want) {
 			t.Errorf("trace replay missing row %q:\n%s", want, csv)
 		}

@@ -322,7 +322,6 @@ func cmdTune(argv []string, stdout, stderr io.Writer) error {
 		systems   = fs.String("systems", "", "comma-separated machine names (empty = all)")
 		variant   = fs.String("variant", "", "the single variant to tune (empty = auto)")
 		hwpfAxis  = fs.String("hwpf", "", "comma-separated hardware-prefetcher models to search (empty = default)")
-		coreAxis  = fs.String("core", "", "comma-separated core models to search (empty = default)")
 		strategy  = fs.String("strategy", "", "search strategy: exhaustive or hillclimb (empty = exhaustive)")
 		cs        = fs.String("cs", "", "comma-separated look-ahead ladder (empty = default ladder)")
 		depths    = fs.String("depths", "", "comma-separated indirect depths to search (empty = 0)")
@@ -375,7 +374,6 @@ func cmdTune(argv []string, stdout, stderr io.Writer) error {
 		spec.Systems = *systems
 		spec.Variants = *variant
 		spec.HWPF = *hwpfAxis
-		spec.Core = *coreAxis
 		spec.Quality = *quality
 		spec.Priority = *priority
 		var err error

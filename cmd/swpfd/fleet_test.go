@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -119,16 +120,18 @@ func TestBatchSubmit(t *testing.T) {
 // Retry-After header, nothing is enqueued, and a duplicate of an
 // already-live cell is NOT new work and still admits.
 func TestQueueFull429(t *testing.T) {
-	ts := coordinatorOnly(t, config{maxPending: 1})
+	ts := coordinatorOnly(t, config{maxPending: 2})
 
 	one := `{"workloads":"IS","systems":"A53","variants":"plain","quality":"tiny"}`
-	if code, body := post(t, ts, "/sweep", one); code != http.StatusAccepted {
-		t.Fatalf("first submit = %d: %s", code, body)
+	for _, spec := range []string{one, `{"workloads":"CG","systems":"A53","variants":"plain","quality":"tiny"}`} {
+		if code, body := post(t, ts, "/sweep", spec); code != http.StatusAccepted {
+			t.Fatalf("submit filling the queue = %d: %s", code, body)
+		}
 	}
 
-	// A distinct cell exceeds the 1-cell bound.
+	// A distinct cell exceeds the 2-cell bound.
 	resp, err := http.Post(ts.URL+"/sweep", "application/json",
-		strings.NewReader(`{"workloads":"CG","systems":"A53","variants":"plain","quality":"tiny"}`))
+		strings.NewReader(`{"workloads":"RA","systems":"A53","variants":"plain","quality":"tiny"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +172,37 @@ func TestQueueFull429(t *testing.T) {
 	}
 	if len(partial.Submitted) != 1 || !strings.HasPrefix(partial.Error, "queue full: ") {
 		t.Errorf("batch overflow body wrong: %+v", partial)
+	}
+}
+
+// TestSweepCellBound: POST /sweep refuses, before expanding anything, a
+// body whose specs total more cells than the queue's live-cell bound —
+// one spec, a batch, or axis lengths whose product overflows an int64
+// — and enqueues nothing; a body at the bound is admitted.
+func TestSweepCellBound(t *testing.T) {
+	ts := coordinatorOnly(t, config{maxPending: 4})
+	rep := func(tok string, n int) string { return strings.TrimSuffix(strings.Repeat(tok+",", n), ",") }
+	for name, body := range map[string]string{
+		"spec":  `{"workloads":"IS,CG,RA","systems":"A53","variants":"plain,auto","quality":"tiny"}`,
+		"batch": `[{"workloads":"IS","systems":"A53","variants":"plain,auto","quality":"tiny"},{"workloads":"CG,RA","systems":"A53","variants":"plain,auto","quality":"tiny"}]`,
+		"repeated": `{"quality":"tiny","systems":"` + rep("A53", 5000) + `","variants":"` + rep("plain", 5000) +
+			`","hwpf":"` + rep("none", 5000) + `","core":"` + rep("ooo", 5000) + `","exec":"` + rep("direct", 5000) + `"}`,
+	} {
+		code, reply := post(t, ts, "/sweep", body)
+		if msg := errorBody(t, reply); code != http.StatusBadRequest || !strings.Contains(msg, "queue's bound of 4 live cells") {
+			t.Errorf("%s: POST /sweep = %d %q, want 400 naming the bound", name, code, msg)
+		}
+	}
+	var fs FleetStatus
+	_, reply := fetch(t, ts, "/fleet")
+	if err := json.Unmarshal(reply, &fs); err != nil {
+		t.Fatal(err)
+	}
+	if fs.Queue.Submissions != 0 || fs.Queue.Pending != 0 {
+		t.Errorf("refused bodies reached the queue: %+v", fs.Queue)
+	}
+	if code, reply := post(t, ts, "/sweep", `{"workloads":"IS,CG","systems":"A53","variants":"plain,auto","quality":"tiny"}`); code != http.StatusAccepted {
+		t.Errorf("a body of exactly the bound = %d: %s", code, reply)
 	}
 }
 
@@ -328,26 +362,13 @@ func TestFleetWorkerLoop(t *testing.T) {
 
 	// One manual worker pass: drain the queue through the HTTP fleet
 	// API using the same code `swpfd -worker` runs.
-	w := &fleetWorker{
-		coordinator: ts.URL,
-		name:        "test-worker",
-		jobs:        2,
-		batch:       3,
-		client:      &http.Client{},
-		log:         obs.Discard(),
-	}
+	w := remoteWorker(ts.URL, "test-worker", 2, 3, obs.Discard())
 	// Lease until every cell is out: a lease request on an empty queue
 	// would wait out the coordinator's bound before its 204.
 	for leased := 0; leased < cells; {
-		l, rid, err := w.lease()
-		if err != nil {
-			t.Fatal(err)
-		}
+		l, rid := w.lease(context.Background())
 		if l == nil {
 			t.Fatalf("lease answered 204 with %d of %d cells leased", leased, cells)
-		}
-		if rid == "" {
-			t.Fatal("lease response carried no request ID")
 		}
 		leased += len(l.Cells)
 		w.execute(l, rid)
@@ -443,11 +464,8 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 		t.Fatalf("doomed worker leased %d cells, want %d", len(l.Cells), cells)
 	}
 
-	w := &fleetWorker{coordinator: ts.URL, name: "w2", jobs: 1, batch: 99, client: &http.Client{}, log: obs.Discard()}
-	l2, rid, err := w.lease()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := remoteWorker(ts.URL, "w2", 1, 99, obs.Discard())
+	l2, rid := w.lease(context.Background())
 	if waited := time.Since(granted); waited < ttl {
 		t.Errorf("second lease answered %v after the doomed grant, before the %v TTL", waited, ttl)
 	}

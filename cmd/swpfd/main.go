@@ -166,13 +166,6 @@ func run(argv []string, stderr io.Writer) error {
 // sizes), or "gen" (randomly generated kernels, see internal/gen).
 type SweepSpec = sweep.Spec
 
-// poolFor resolves a quality to its memoized workload pool; "" means
-// full. Shared by spec validation and the worker's cell resolver, so
-// coordinator and workers agree on what every (quality, name) denotes.
-func poolFor(quality string) ([]*workloads.Workload, error) {
-	return workloads.PoolByQuality(quality)
-}
-
 // validateWireSpec applies the daemon's one restriction on top of the
 // shared spec validation: ad-hoc generated kernels (gen/gen_seed)
 // cannot travel over the fleet, because workers reconstruct cells by
@@ -207,8 +200,10 @@ const maxJobs = 256
 
 // job is one submitted sweep or tune search and its dynamic state:
 // progress counts, terminal state, report and SSE subscribers. A sweep
-// job fills the state from its fleet ticket (track); a tune job fills
-// it from the tuner (runTune). Every route reads only this state.
+// job fills the state from its fleet ticket's progress callback and
+// track; a tune job fills it from the tuner (runTune). Every route
+// reads only this state, and its pings are the only fan-out to SSE
+// clients.
 type job struct {
 	id       string
 	spec     SweepSpec
@@ -268,25 +263,18 @@ func (j *job) finish(rep report, err error) {
 	j.notifyLocked()
 }
 
-// track fills a sweep job from its ticket. A ticket that is already
+// track finishes a sweep job with its ticket; progress arrives through
+// the ticket's callback (setProgress). A ticket that is already
 // finished — every cell answered by the store at submission — finishes
 // the job before POST /sweep replies, so its results are servable at
-// once; any other ticket is followed by a goroutine to its end.
+// once; any other ticket is awaited by a goroutine.
 func (j *job) track(t *fleet.Ticket) {
-	if j.finishFrom(t) {
-		return
+	if !j.finishFrom(t) {
+		go func() {
+			<-t.Done()
+			j.finishFrom(t)
+		}()
 	}
-	go func() {
-		ch, cancel := t.Subscribe()
-		defer cancel()
-		for p := range ch {
-			if p.Finished {
-				break
-			}
-			j.setProgress(p.Done, p.Total)
-		}
-		j.finishFrom(t)
-	}()
 }
 
 // finishFrom finishes the job from a finished ticket and reports
@@ -294,7 +282,6 @@ func (j *job) track(t *fleet.Ticket) {
 func (j *job) finishFrom(t *fleet.Ticket) bool {
 	set, ok := t.ResultSet()
 	if ok {
-		j.setProgress(t.Progress())
 		j.finish(set, set.Err())
 	}
 	return ok
@@ -435,8 +422,25 @@ func newServerCfg(cfg config) http.Handler {
 			Registry:   cfg.registry,
 		}),
 	}
+	// In-process workers run the remote workers' loop against the queue
+	// itself. Their runners read and write no results — the queue probed
+	// the store at submission and persists each distinct cell once at
+	// completion — but traces pass through, so replay groups record once
+	// per store lifetime.
+	var traces sweep.Cache
+	if cfg.store != nil {
+		traces = traceOnlyCache{cfg.store}
+	}
 	for i := 0; i < cfg.localWorkers; i++ {
-		go s.localWorker(fmt.Sprintf("local-%d", i))
+		name := fmt.Sprintf("local-%d", i)
+		w := &fleetWorker{
+			coord:  s.queue,
+			name:   name,
+			batch:  cfg.leaseBatch,
+			runner: sweep.Runner{Jobs: cfg.jobs, Cache: traces, Metrics: s.sweepM, OnPutError: store.PutWarner(cfg.stderr)},
+			log:    cfg.logger.With("worker", name),
+		}
+		go w.run(context.Background())
 	}
 	mux := http.NewServeMux()
 	routes := []string{
@@ -534,7 +538,7 @@ type Meta struct {
 func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	qualities := []string{"full", "quick", "tiny", "gen"}
 	if q := r.URL.Query().Get("quality"); q != "" {
-		if _, err := poolFor(q); err != nil {
+		if _, err := workloads.PoolByQuality(q); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
@@ -546,7 +550,7 @@ func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		Variants:  make([]string, 0, len(sweep.Variants())),
 	}
 	for _, q := range qualities {
-		pool, _ := poolFor(q)
+		pool, _ := workloads.PoolByQuality(q)
 		var ws []MetaWorkload
 		for _, wl := range pool {
 			ws = append(ws, MetaWorkload{Name: wl.Name, Params: wl.Params})
@@ -620,40 +624,15 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading spec: %v", err)
 		return
 	}
-	specs, batch, err := decodeSpecs(body)
+	subs, batch, err := prepareSweep(body, s.queue.MaxPending())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding spec: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	// Validate every spec before admitting any: a bad spec in a batch
-	// is a 400, not a half-submitted batch.
-	type prepared struct {
-		spec SweepSpec
-		reqs []sweep.Request
-		wire []fleet.CellSpec
-	}
-	preps := make([]prepared, 0, len(specs))
-	for _, spec := range specs {
-		grid, err := validateWireSpec(spec)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		reqs := grid.Expand()
-		wire := make([]fleet.CellSpec, len(reqs))
-		for i, req := range reqs {
-			if wire[i], err = fleet.SpecFor(spec.QualityName(), req); err != nil {
-				writeError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-		}
-		preps = append(preps, prepared{spec, reqs, wire})
-	}
-
-	replies := make([]SubmitReply, 0, len(preps))
-	for _, p := range preps {
-		ticket, err := s.queue.Submit(p.reqs, p.wire, p.spec.Priority)
+	replies := make([]SubmitReply, 0, len(subs))
+	for _, sub := range subs {
+		j := newJob(sub.spec, nil, len(sub.reqs))
+		ticket, err := s.queue.Submit(sub.reqs, sub.wire, sub.spec.Priority, j.setProgress)
 		var full fleet.ErrQueueFull
 		if errors.As(err, &full) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(full.RetryAfter.Seconds()+0.5)))
@@ -667,15 +646,58 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		j := s.addJob(p.spec, nil, ticket.Total())
+		s.add(j)
 		j.track(ticket)
-		replies = append(replies, SubmitReply{ID: j.id, Cells: len(p.reqs)})
+		replies = append(replies, SubmitReply{ID: j.id, Cells: len(sub.reqs)})
 	}
 	if batch {
 		writeJSON(w, http.StatusAccepted, replies)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, replies[0])
+}
+
+// submission is one validated, expanded POST /sweep spec.
+type submission struct {
+	spec SweepSpec
+	reqs []sweep.Request
+	wire []fleet.CellSpec
+}
+
+// prepareSweep decodes a POST /sweep body and expands its specs. Every
+// spec is validated, and the specs' cells are counted against limit,
+// before any spec is expanded: a bad spec in a batch rejects the whole
+// batch, and no request makes the daemon build more cells than its
+// queue may hold live. Every error is the client's.
+func prepareSweep(body []byte, limit int) (subs []submission, batch bool, err error) {
+	specs, batch, err := decodeSpecs(body)
+	if err != nil {
+		return nil, batch, fmt.Errorf("decoding spec: %w", err)
+	}
+	grids := make([]sweep.Grid, len(specs))
+	total := 0 // <= limit, so limit-total cannot overflow
+	for i, spec := range specs {
+		if grids[i], err = validateWireSpec(spec); err != nil {
+			return nil, batch, err
+		}
+		n := grids[i].Size()
+		if n > limit-total {
+			return nil, batch, fmt.Errorf("the request asks for more cells than the queue's bound of %d live cells", limit)
+		}
+		total += n
+	}
+	for i, spec := range specs {
+		sub := submission{spec: spec, reqs: grids[i].Expand()}
+		for _, req := range sub.reqs {
+			sp, err := fleet.SpecFor(spec.QualityName(), req)
+			if err != nil {
+				return nil, batch, err
+			}
+			sub.wire = append(sub.wire, sp)
+		}
+		subs = append(subs, sub)
+	}
+	return subs, batch, nil
 }
 
 // decodeSpecs parses a POST /sweep body: one spec object, or an array
@@ -705,22 +727,26 @@ func decodeSpecs(body []byte) (specs []SweepSpec, batch bool, err error) {
 	return []SweepSpec{spec}, false, nil
 }
 
-// addJob registers a running job under the next id.
-func (s *server) addJob(spec SweepSpec, tsp *TuneSpec, total int) *job {
+// newJob builds a running job, not yet registered.
+func newJob(spec SweepSpec, tsp *TuneSpec, total int) *job {
+	return &job{spec: spec, tuneSpec: tsp, total: total, state: stateRunning, subs: make(map[chan struct{}]bool)}
+}
+
+// add registers a job under the next id.
+func (s *server) add(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	j := &job{
-		id:       "job-" + strconv.Itoa(s.seq),
-		spec:     spec,
-		tuneSpec: tsp,
-		total:    total,
-		state:    stateRunning,
-		subs:     make(map[chan struct{}]bool),
-	}
+	j.id = "job-" + strconv.Itoa(s.seq)
 	s.byID[j.id] = j
 	s.ids = append(s.ids, j.id)
 	s.evictLocked()
+}
+
+// addJob registers a new running job under the next id.
+func (s *server) addJob(spec SweepSpec, tsp *TuneSpec, total int) *job {
+	j := newJob(spec, tsp, total)
+	s.add(j)
 	return j
 }
 
@@ -938,11 +964,8 @@ func (s *server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// traceOnlyCache is the local workers' view of the daemon cache:
-// result Gets and Puts are no-ops — the queue already probed at
-// submission, and the coordinator persists each distinct cell exactly
-// once at completion — while trace traffic passes through, so replay
-// groups still record once per store lifetime.
+// traceOnlyCache is the in-process workers' view of the daemon's
+// store: result Gets and Puts are no-ops, trace traffic passes through.
 type traceOnlyCache struct{ tc sweep.TraceCache }
 
 func (c traceOnlyCache) Get(sweep.Request) (*core.Result, bool) { return nil, false }
@@ -952,77 +975,4 @@ func (c traceOnlyCache) GetTrace(r sweep.Request) (*trace.Trace, bool) {
 }
 func (c traceOnlyCache) PutTrace(r sweep.Request, t *trace.Trace) error {
 	return c.tc.PutTrace(r, t)
-}
-
-// workerCache builds the cache a local worker runs under.
-func (s *server) workerCache() sweep.Cache {
-	if s.cfg.store != nil {
-		return traceOnlyCache{s.cfg.store}
-	}
-	return nil
-}
-
-// localWorker is an in-process fleet worker: lease, execute, complete,
-// forever. It heartbeats like a remote worker so long batches survive
-// short lease TTLs, and it reports through the same Complete path — the
-// coordinator cannot tell local and remote workers apart.
-func (s *server) localWorker(name string) {
-	cache := s.workerCache()
-	log := s.cfg.logger.With("worker", name)
-	for {
-		l := s.queue.LeaseWait(context.Background(), name, s.cfg.leaseBatch)
-		log.Debug("lease", "lease", l.ID, "cells", len(l.Cells))
-		stop := make(chan struct{})
-		go func() {
-			t := time.NewTicker(heartbeatEvery(l.TTL()))
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					s.queue.Heartbeat(l.ID, name)
-				}
-			}
-		}()
-		runner := sweep.Runner{
-			Jobs:       s.cfg.jobs,
-			Cache:      cache,
-			Metrics:    s.sweepM,
-			OnPutError: store.PutWarner(s.cfg.stderr),
-		}
-		start := time.Now()
-		set, _ := runner.Execute(l.Requests())
-		close(stop)
-		accepted, dropped := s.queue.Complete(l.ID, name, cellResults(l, set))
-		log.Debug("complete",
-			"lease", l.ID, "accepted", accepted, "dropped", dropped,
-			"dur", time.Since(start).Round(time.Microsecond).String())
-	}
-}
-
-// heartbeatEvery picks a heartbeat interval safely inside a lease TTL.
-func heartbeatEvery(ttl time.Duration) time.Duration {
-	every := ttl / 3
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
-	}
-	return every
-}
-
-// cellResults converts an executed lease into a completion report;
-// Execute returns outcomes in request order, which matches the lease's
-// cell order.
-func cellResults(l *fleet.Lease, set *sweep.ResultSet) []fleet.CellResult {
-	out := make([]fleet.CellResult, len(set.Outcomes))
-	for i, o := range set.Outcomes {
-		out[i] = fleet.CellResult{Key: l.Cells[i].Key}
-		if o.Err != nil {
-			out[i].Err = o.Err.Error()
-		} else {
-			d := fleet.ResultDataOf(o.Result)
-			out[i].Result = &d
-		}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -45,8 +44,13 @@ func (s *server) handleTune(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%s", errGenWire)
 		return
 	}
-	if err := tsp.Validate(); err != nil {
+	space, err := tsp.Space()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if limit := s.queue.MaxPending(); space.MaxBatch() > limit {
+		writeError(w, http.StatusBadRequest, "the search's largest evaluation batch has more cells than the queue's bound of %d live cells", limit)
 		return
 	}
 	j := s.addJob(tsp.Spec, &tsp, 0)
@@ -84,23 +88,19 @@ func (tr tuneRunner) Execute(reqs []sweep.Request) (*sweep.ResultSet, error) {
 			return nil, err
 		}
 	}
+	before, _ := tr.j.event()
+	progress := func(done, _ int) { tr.j.setProgress(before.Done+done, 0) }
 	var ticket *fleet.Ticket
 	for attempt := 0; ; attempt++ {
-		ticket, err = tr.s.queue.Submit(reqs, wire, tr.priority)
+		ticket, err = tr.s.queue.Submit(reqs, wire, tr.priority, progress)
 		var full fleet.ErrQueueFull
 		if errors.As(err, &full) && attempt < 20 {
 			// Back off and retry: tune batches arrive over the job's
 			// lifetime, so transient fullness (other jobs draining) is
-			// expected. A batch that can never fit fails after the
-			// retries with the queue's own error.
-			d := full.RetryAfter
-			if d <= 0 {
-				d = 50 * time.Millisecond
-			}
-			if d > time.Second {
-				d = time.Second
-			}
-			time.Sleep(d)
+			// expected. handleTune refused every search with a batch
+			// over the bound; one that still cannot fit fails after
+			// the retries with the queue's own error.
+			time.Sleep(min(max(full.RetryAfter, 50*time.Millisecond), time.Second))
 			continue
 		}
 		if err != nil {
@@ -108,18 +108,7 @@ func (tr tuneRunner) Execute(reqs []sweep.Request) (*sweep.ResultSet, error) {
 		}
 		break
 	}
-	before, _ := tr.j.event()
-	ch, cancel := ticket.Subscribe()
-	defer cancel()
-	for p := range ch {
-		tr.j.setProgress(before.Done+p.Done, 0)
-		if p.Finished {
-			break
-		}
-	}
-	set, ok := ticket.ResultSet()
-	if !ok {
-		return nil, fmt.Errorf("cell queue ticket ended without results")
-	}
+	<-ticket.Done()
+	set, _ := ticket.ResultSet()
 	return set, set.Err()
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -185,6 +186,7 @@ func TestTuneBadRequests(t *testing.T) {
 		{"gen", `{"gen":3,"quality":"tiny"}`, errGenWire},
 		{"fixed c", `{"c":64,"quality":"tiny"}`, `tune: "c", "depth" and "hoist" are searched, not fixed`},
 		{"exec", `{"exec":"replay","quality":"tiny"}`, `tune: "exec" is not a tuned axis`},
+		{"core", `{"core":"ooo","quality":"tiny"}`, `tune: "core" is not a tuned axis`},
 		{"two variants", `{"variants":"auto,manual","quality":"tiny"}`, "tune: exactly one variant is tuned at a time"},
 		{"plain", `{"variants":"plain","quality":"tiny"}`, `tune: variant "plain" is the baseline`},
 		{"strategy", `{"strategy":"anneal","quality":"tiny"}`, `tune: unknown strategy "anneal" (have exhaustive, hillclimb)`},
@@ -199,6 +201,36 @@ func TestTuneBadRequests(t *testing.T) {
 		if msg := errorBody(t, body); !strings.Contains(msg, tc.want) {
 			t.Errorf("%s: error = %q, want substring %q", tc.name, msg, tc.want)
 		}
+	}
+}
+
+// TestTuneBatchBound: a search whose largest evaluation batch exceeds
+// the queue's live-cell bound is a 400 at submission, including ladders
+// whose candidate count overflows an int64, and starts no job.
+func TestTuneBatchBound(t *testing.T) {
+	ts := coordinatorOnly(t, config{maxPending: 8})
+	ladder := make([]string, 10000)
+	for i := range ladder {
+		ladder[i] = strconv.Itoa(i + 1)
+	}
+	for name, spec := range map[string]string{
+		"exhaustive": `{"quality":"tiny","workloads":"IS","systems":"A53","cs":"1,2,4,8,16,32,64,128"}`,
+		"hillclimb":  `{"quality":"tiny","workloads":"IS","systems":"A53","cs":"1,2,4,8,16,32,64,128,256","strategy":"hillclimb"}`,
+		"huge":       `{"quality":"tiny","cs":"` + strings.Join(ladder, ",") + `","depths":"` + strings.Join(ladder, ",") + `"}`,
+	} {
+		code, body := post(t, ts, "/tune", spec)
+		if msg := errorBody(t, body); code != http.StatusBadRequest || !strings.Contains(msg, "queue's bound of 8 live cells") {
+			t.Errorf("%s: POST /tune = %d %q, want 400 naming the bound", name, code, msg)
+		}
+	}
+	// Within the bound: exhaustive's 7 candidates and one baseline.
+	if code, body := post(t, ts, "/tune", `{"quality":"tiny","workloads":"IS","systems":"A53","cs":"1,2,4,8,16,32,64"}`); code != http.StatusAccepted {
+		t.Fatalf("in-bound tune = %d: %s", code, body)
+	}
+	var jobs []JobStatus
+	_, body := fetch(t, ts, "/jobs")
+	if err := json.Unmarshal(body, &jobs); err != nil || len(jobs) != 1 {
+		t.Fatalf("jobs after the refusals = %s (%v), want only the in-bound one", body, err)
 	}
 }
 

@@ -1,14 +1,16 @@
-// Fleet worker mode: `swpfd -worker http://coordinator:8077` turns the
-// process into a cell executor. The loop is lease → reconstruct →
-// execute → complete, with heartbeats keeping the lease alive while a
-// batch runs; the coordinator owns all bookkeeping (dedupe,
-// persistence, result fan-out), so a worker holds no state worth
-// preserving — kill it any time and its leased cells return to the
-// queue when the lease expires.
+// Fleet workers. One loop executes cells for every worker: the
+// daemon's in-process workers run it against their own *fleet.Queue,
+// and `swpfd -worker http://coordinator:8077` runs it against a remote
+// coordinator's HTTP API. The loop is lease → rebuild → execute →
+// report, with heartbeats keeping the lease alive until its report
+// returns; the coordinator owns all bookkeeping (dedupe, persistence,
+// result fan-out), so a worker holds no state worth preserving — kill
+// it any time and its leased cells return to the queue when the lease
+// expires.
 //
-// Workers reconstruct cells from wire specs (internal/fleet.CellSpec):
-// the machine configuration travels in full, the workload is resolved
-// by (quality, name) out of the worker's own memoized pools and
+// Workers rebuild cells from wire specs (fleet.CellSpec.Request): the
+// machine configuration travels in full, the workload is resolved by
+// (quality, name) out of the process's memoized pools and
 // cross-checked against the coordinator's parameter string, so a
 // version-skewed worker fails the cell loudly instead of silently
 // computing the wrong one.
@@ -16,6 +18,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,168 +31,100 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
-// workerBackoffMax caps the reconnect backoff after coordinator errors.
-const workerBackoffMax = 5 * time.Second
+// coordinator is the queue a worker leases cells from: the daemon's
+// own *fleet.Queue for in-process workers, fleetClient for remote
+// ones. LeaseWait returns nil when no lease came.
+type coordinator interface {
+	LeaseWait(ctx context.Context, worker string, max int) *fleet.Lease
+	Heartbeat(id, worker string) bool
+	Complete(id, worker string, results []fleet.CellResult) (accepted, dropped int)
+}
 
-// resolveWorkload is the fleet.WorkloadResolver backed by the daemon's
-// memoized pools — the same pools submission validation uses, so
-// coordinator and worker agree on every name.
-func resolveWorkload(quality, name string) (*sweep.Request, error) {
-	pool, err := poolFor(quality)
-	if err != nil {
-		return nil, err
-	}
-	for _, wl := range pool {
-		if wl.Name == name {
-			return &sweep.Request{Workload: wl}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown workload %q in the %s pool", name, quality)
+// fleetWorker is the worker loop.
+type fleetWorker struct {
+	coord     coordinator
+	name      string
+	batch     int
+	runner    sweep.Runner
+	log       *slog.Logger
+	reporting sync.WaitGroup // the completion report in flight
 }
 
 // runWorker is the worker-mode main loop: ask the coordinator for
-// leases until killed. A lease request waits at the coordinator until
-// work arrives, so an idle worker neither sleeps nor polls. Coordinator
-// outages are retried with capped exponential backoff — a worker
-// outlives coordinator restarts.
-func runWorker(coordinator, name string, jobs, batch int, log *slog.Logger) error {
-	coordinator = strings.TrimRight(coordinator, "/")
-	if !strings.Contains(coordinator, "://") {
-		return fmt.Errorf("-worker %q is not an absolute coordinator URL", coordinator)
+// leases until killed.
+func runWorker(url, name string, jobs, batch int, log *slog.Logger) error {
+	url = strings.TrimRight(url, "/")
+	if !strings.Contains(url, "://") {
+		return fmt.Errorf("-worker %q is not an absolute coordinator URL", url)
 	}
 	if name == "" {
 		name = fmt.Sprintf("swpfd-%d", os.Getpid())
 	}
-	w := &fleetWorker{
-		coordinator: coordinator,
-		name:        name,
-		jobs:        jobs,
-		batch:       batch,
-		client:      &http.Client{Timeout: 30 * time.Second},
-		log:         log.With("worker", name),
+	w := remoteWorker(url, name, jobs, batch, log)
+	w.log.Info("pulling", "coordinator", url)
+	w.run(context.Background())
+	return nil
+}
+
+// remoteWorker builds the loop `swpfd -worker` runs. Its runner has no
+// cache: the coordinator probed its store at submission and persists
+// completions, and replay groups lease whole, so trace amortization
+// happens in memory within one lease.
+func remoteWorker(url, name string, jobs, batch int, log *slog.Logger) *fleetWorker {
+	log = log.With("worker", name)
+	return &fleetWorker{
+		coord:  &fleetClient{url: url, client: &http.Client{Timeout: 30 * time.Second}, log: log, rids: make(map[string]string)},
+		name:   name,
+		batch:  batch,
+		runner: sweep.Runner{Jobs: jobs},
+		log:    log,
 	}
-	w.log.Info("pulling", "coordinator", coordinator)
-	backoff := 100 * time.Millisecond
-	for {
-		l, rid, err := w.lease()
-		if err != nil {
-			w.log.Warn("lease failed", "err", err, "backoff", backoff.String())
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > workerBackoffMax {
-				backoff = workerBackoffMax
-			}
-			continue
-		}
-		backoff = 100 * time.Millisecond
-		if l != nil { // a 204 comes after the coordinator waited for work
+}
+
+// run executes leases until ctx ends. A lease request waits at the
+// coordinator until work arrives, so an idle worker neither sleeps nor
+// polls.
+func (w *fleetWorker) run(ctx context.Context) {
+	for ctx.Err() == nil {
+		if l, rid := w.lease(ctx); l != nil {
 			w.execute(l, rid)
 		}
 	}
 }
 
-type fleetWorker struct {
-	coordinator string
-	name        string
-	jobs        int
-	batch       int
-	client      *http.Client
-	log         *slog.Logger
-	reporting   sync.WaitGroup // the completion report in flight
+// lease asks for a batch under a fresh request ID: the batch logs under
+// it, and a remote coordinator sees it on every request about the
+// lease, tying both sides of the cell lifecycle together.
+func (w *fleetWorker) lease(ctx context.Context) (*fleet.Lease, string) {
+	rid := obs.NewRequestID()
+	return w.coord.LeaseWait(context.WithValue(ctx, ridKey{}, rid), w.name, w.batch), rid
 }
 
-// post sends one JSON request and decodes the JSON reply into out
-// (skipped when out is nil or the reply is 204). A non-empty rid
-// travels as the request-ID header, so the coordinator's access log
-// correlates the call with the lease that started the work; the
-// returned rid is whatever ID the coordinator stamped on the response.
-func (w *fleetWorker) post(path, rid string, in, out any) (int, string, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, "", err
-	}
-	req, err := http.NewRequest(http.MethodPost, w.coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if rid != "" {
-		req.Header.Set(obs.RequestIDHeader, rid)
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	respRID := resp.Header.Get(obs.RequestIDHeader)
-	if resp.StatusCode == http.StatusNoContent || out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return resp.StatusCode, respRID, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return resp.StatusCode, respRID, fmt.Errorf("POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-	}
-	return resp.StatusCode, respRID, json.NewDecoder(resp.Body).Decode(out)
-}
-
-// lease asks for a batch; a nil lease means nothing pending. The
-// returned rid is the coordinator's ID for the lease request — the
-// worker logs the batch's execution under it and sends it back on
-// complete, tying both sides of the cell lifecycle together.
-func (w *fleetWorker) lease() (*fleet.Lease, string, error) {
-	var l fleet.Lease
-	code, rid, err := w.post("/fleet/lease", "", LeaseRequest{Worker: w.name, Max: w.batch}, &l)
-	if err != nil {
-		return nil, rid, err
-	}
-	if code == http.StatusNoContent {
-		return nil, rid, nil
-	}
-	return &l, rid, nil
-}
-
-// execute reconstructs a lease's cells, runs them, and reports every
-// cell — results for the runnable ones, errors for the rest — while a
-// background heartbeat keeps the lease alive until the report returns.
-// The report goes out from a goroutine once the previous lease's report
-// has returned, so the caller's next lease request overlaps it and at
-// most one report is in flight; reporting.Wait waits for it. The whole
-// batch logs under rid, the coordinator's ID for the lease request.
+// execute rebuilds a lease's requests from their wire specs, decoding
+// each distinct machine configuration once, runs them, and reports
+// every cell — results for the runnable ones, errors for the rest —
+// while a background heartbeat keeps the lease alive until the report
+// returns. The report goes out from a goroutine once the previous
+// lease's report has returned, so the caller's next lease request
+// overlaps it and at most one report is in flight; reporting.Wait
+// waits for it.
 func (w *fleetWorker) execute(l *fleet.Lease, rid string) {
 	log := w.log.With("rid", rid, "lease", l.ID)
 	log.Info("lease", "cells", len(l.Cells), "ttl", l.TTL().String())
 	stop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(heartbeatEvery(l.TTL()))
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				var hb struct {
-					OK bool `json:"ok"`
-				}
-				if _, _, err := w.post("/fleet/heartbeat", rid, HeartbeatRequest{Lease: l.ID, Worker: w.name}, &hb); err == nil && !hb.OK {
-					// Lease gone (expired and re-leased elsewhere): keep
-					// computing — the completion is reported anyway and
-					// the coordinator drops whatever the re-lease already
-					// answered.
-					return
-				}
-			}
-		}
-	}()
+	go w.heartbeat(l, stop)
 
 	results := make([]fleet.CellResult, len(l.Cells))
 	var reqs []sweep.Request
 	var reqIdx []int
+	configs := make(map[string]*sim.Config)
 	for i, c := range l.Cells {
 		results[i] = fleet.CellResult{Key: c.Key}
-		req, err := c.Spec.Request(resolveWorkload)
+		req, err := c.Spec.Request(configs)
 		if err != nil {
 			results[i].Err = err.Error()
 			continue
@@ -199,16 +134,13 @@ func (w *fleetWorker) execute(l *fleet.Lease, rid string) {
 	}
 	start := time.Now()
 	if len(reqs) > 0 {
-		// No cache: the coordinator probed its store at submission and
-		// persists completions; replay groups lease whole, so trace
-		// amortization happens in-memory within this Execute call.
-		set, _ := sweep.Runner{Jobs: w.jobs}.Execute(reqs)
+		set, _ := w.runner.Execute(reqs)
 		for n, o := range set.Outcomes {
 			i := reqIdx[n]
 			if o.Err != nil {
 				results[i].Err = o.Err.Error()
 			} else {
-				d := fleet.ResultDataOf(o.Result)
+				d := o.Result.Data()
 				results[i].Result = &d
 			}
 		}
@@ -224,17 +156,144 @@ func (w *fleetWorker) execute(l *fleet.Lease, rid string) {
 	go func() {
 		defer w.reporting.Done()
 		defer close(stop)
-		var rep struct {
-			Accepted int `json:"accepted"`
-			Dropped  int `json:"dropped"`
+		accepted, dropped := w.coord.Complete(l.ID, w.name, results)
+		if accepted+dropped == 0 {
+			return // the report never arrived: the client logged why
 		}
-		if _, _, err := w.post("/fleet/complete", rid, CompleteRequest{Lease: l.ID, Worker: w.name, Results: results}, &rep); err != nil {
-			log.Warn("report failed", "err", err)
-			return
-		}
-		log.Info("complete", "accepted", rep.Accepted, "dropped", rep.Dropped, "dur", elapsed.String())
-		if rep.Dropped > 0 {
-			log.Warn("duplicate cells dropped by coordinator", "dropped", rep.Dropped)
+		log.Info("complete", "accepted", accepted, "dropped", dropped, "dur", elapsed.String())
+		if dropped > 0 {
+			log.Warn("duplicate cells dropped by coordinator", "dropped", dropped)
 		}
 	}()
+}
+
+// heartbeat extends the lease until stop closes or the coordinator
+// answers that the lease is gone (expired and re-leased elsewhere):
+// the worker keeps computing, reports anyway, and the coordinator drops
+// whatever the re-lease already answered.
+func (w *fleetWorker) heartbeat(l *fleet.Lease, stop <-chan struct{}) {
+	t := time.NewTicker(max(l.TTL()/3, 10*time.Millisecond)) // safely inside the TTL
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			if !w.coord.Heartbeat(l.ID, w.name) {
+				return
+			}
+		}
+	}
+}
+
+// ridKey is the context key under which the worker loop hands
+// fleetClient the request ID of a lease request.
+type ridKey struct{}
+
+// fleetClient is the coordinator interface over a remote daemon's fleet
+// API. A lease request travels under the request ID in its context,
+// and every later request about that lease carries the same ID.
+type fleetClient struct {
+	url    string
+	client *http.Client
+	log    *slog.Logger
+	// backoff is the delay after the last failed lease request, 0 after
+	// a success; only LeaseWait's goroutine touches it.
+	backoff time.Duration
+
+	mu   sync.Mutex
+	rids map[string]string // lease ID → request ID, until its report returns
+}
+
+// LeaseWait asks for a batch; the coordinator holds the request until
+// work arrives, and a 204 (nil) means none came in its bound. A failed
+// request is logged and returns nil after an exponential backoff capped
+// at 5 s, so a worker outlives coordinator restarts.
+func (c *fleetClient) LeaseWait(ctx context.Context, worker string, max int) *fleet.Lease {
+	rid, _ := ctx.Value(ridKey{}).(string)
+	var l fleet.Lease
+	code, err := c.post(ctx, "/fleet/lease", rid, LeaseRequest{Worker: worker, Max: max}, &l)
+	if err != nil {
+		c.backoff = min(2*c.backoff, 5*time.Second)
+		if c.backoff == 0 {
+			c.backoff = 100 * time.Millisecond
+		}
+		c.log.Warn("lease failed", "err", err, "backoff", c.backoff.String())
+		time.Sleep(c.backoff)
+		return nil
+	}
+	c.backoff = 0
+	if code == http.StatusNoContent {
+		return nil
+	}
+	c.mu.Lock()
+	c.rids[l.ID] = rid
+	c.mu.Unlock()
+	return &l
+}
+
+// Heartbeat extends a lease. An unreachable coordinator may come back,
+// so only its answer that the lease is gone returns false.
+func (c *fleetClient) Heartbeat(id, worker string) bool {
+	var hb struct {
+		OK bool `json:"ok"`
+	}
+	_, err := c.post(context.Background(), "/fleet/heartbeat", c.rid(id), HeartbeatRequest{Lease: id, Worker: worker}, &hb)
+	return err != nil || hb.OK
+}
+
+// Complete reports a lease's results. A report that fails is logged
+// and counts no cell; the lease then expires and its cells requeue.
+func (c *fleetClient) Complete(id, worker string, results []fleet.CellResult) (accepted, dropped int) {
+	rid := c.rid(id)
+	defer func() {
+		c.mu.Lock()
+		delete(c.rids, id)
+		c.mu.Unlock()
+	}()
+	var rep struct {
+		Accepted int `json:"accepted"`
+		Dropped  int `json:"dropped"`
+	}
+	if _, err := c.post(context.Background(), "/fleet/complete", rid, CompleteRequest{Lease: id, Worker: worker, Results: results}, &rep); err != nil {
+		c.log.Warn("report failed", "rid", rid, "lease", id, "err", err)
+		return 0, 0
+	}
+	return rep.Accepted, rep.Dropped
+}
+
+func (c *fleetClient) rid(lease string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.rids[lease]
+}
+
+// post sends one JSON request under the request ID rid and decodes the
+// JSON reply into out (skipped when the reply is 204).
+func (c *fleetClient) post(ctx context.Context, path, rid string, in, out any) (int, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return 0, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url+path, bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if rid != "" {
+		req.Header.Set(obs.RequestIDHeader, rid)
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNoContent {
+		return resp.StatusCode, nil
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return resp.StatusCode, fmt.Errorf("POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
+	}
+	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 }

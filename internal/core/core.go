@@ -89,6 +89,70 @@ type Result struct {
 	PrefetchedUnusedL1 uint64
 }
 
+// ResultData is the serializable snapshot of a Result: every statistic,
+// without the cell labels, which the request a result answers supplies
+// again, and without the Pass report, which holds pointers into live IR
+// and which no result-set consumer reads. Result-store log lines and
+// fleet completion reports carry it; its field names and order are
+// their JSON schema.
+type ResultData struct {
+	Checksum int64
+	Cycles   float64
+	Stats    interp.Stats
+
+	L1Hits, L1Misses   uint64
+	DRAMAccesses       uint64
+	SWPrefetches       uint64
+	HWPrefetches       uint64
+	HWPrefetchDropped  uint64
+	TLBWalks           uint64
+	LoadStallCycles    float64
+	PrefetchLateCycles float64
+	PrefetchedUnusedL1 uint64
+}
+
+// Data snapshots the result's statistics.
+func (r *Result) Data() ResultData {
+	return ResultData{
+		Checksum:           r.Checksum,
+		Cycles:             r.Cycles,
+		Stats:              r.Stats,
+		L1Hits:             r.L1Hits,
+		L1Misses:           r.L1Misses,
+		DRAMAccesses:       r.DRAMAccesses,
+		SWPrefetches:       r.SWPrefetches,
+		HWPrefetches:       r.HWPrefetches,
+		HWPrefetchDropped:  r.HWPrefetchDropped,
+		TLBWalks:           r.TLBWalks,
+		LoadStallCycles:    r.LoadStallCycles,
+		PrefetchLateCycles: r.PrefetchLateCycles,
+		PrefetchedUnusedL1: r.PrefetchedUnusedL1,
+	}
+}
+
+// Result rebuilds a Result from the snapshot under the given labels;
+// Pass stays nil.
+func (d ResultData) Result(workload, system string, v Variant) *Result {
+	return &Result{
+		Workload:           workload,
+		System:             system,
+		Variant:            v,
+		Checksum:           d.Checksum,
+		Cycles:             d.Cycles,
+		Stats:              d.Stats,
+		L1Hits:             d.L1Hits,
+		L1Misses:           d.L1Misses,
+		DRAMAccesses:       d.DRAMAccesses,
+		SWPrefetches:       d.SWPrefetches,
+		HWPrefetches:       d.HWPrefetches,
+		HWPrefetchDropped:  d.HWPrefetchDropped,
+		TLBWalks:           d.TLBWalks,
+		LoadStallCycles:    d.LoadStallCycles,
+		PrefetchLateCycles: d.PrefetchLateCycles,
+		PrefetchedUnusedL1: d.PrefetchedUnusedL1,
+	}
+}
+
 // Speedup returns base cycles over x cycles: >1 means x is faster.
 func Speedup(base, x *Result) float64 {
 	if x.Cycles == 0 {

@@ -5,8 +5,10 @@
 //
 // The queue is the coordinator's data structure; cmd/swpfd wraps it in
 // HTTP (POST /fleet/lease, /fleet/complete, /fleet/heartbeat) for
-// remote worker processes and runs in-process worker loops against it
-// directly. The properties the fabric rests on:
+// remote worker processes, and its in-process workers run the same
+// worker loop against the queue directly: both rebuild every cell from
+// its wire spec and report core.ResultData snapshots. The properties
+// the fabric rests on:
 //
 //   - Idempotent dedupe. A cell's identity is a canonical hash of
 //     (workload name+params, full machine config, variant, options) —
@@ -49,16 +51,17 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
 
 // KeyOf returns the canonical cell identity of a request: a SHA-256
@@ -116,103 +119,51 @@ func SpecFor(quality string, r sweep.Request) (CellSpec, error) {
 	}, nil
 }
 
-// WorkloadResolver resolves a named workload out of a quality pool; a
-// worker process supplies one backed by its own memoized pools.
-type WorkloadResolver func(quality, name string) (*sweep.Request, error)
-
 // Request reconstructs the executable request from the wire form. The
-// resolver returns a request template whose Workload is resolved; the
-// spec fills in system, variant, options and exec. The resolved
-// workload's Params must match the spec's — a mismatch means the two
-// processes disagree about what the name denotes, and running it would
-// silently compute the wrong cell. A machine configuration the
-// simulator would reject is an error here, before it reaches it.
-func (c CellSpec) Request(resolve WorkloadResolver) (sweep.Request, error) {
-	tmpl, err := resolve(c.Quality, c.Workload)
+// workload is resolved by name out of this process's memoized pool for
+// the spec's quality (workloads.PoolByQuality), and its Params must
+// match the spec's — a mismatch means the two processes disagree about
+// what the name denotes, and running it would silently compute the
+// wrong cell. A machine configuration the simulator would reject is an
+// error here, before it reaches it.
+//
+// configs, when non-nil, interns decoded configurations by their wire
+// bytes: the cells of one lease that share a machine then share one
+// *sim.Config, and so one recycled simulator per sweep worker
+// (core.Context keeps its simulators by configuration pointer).
+func (c CellSpec) Request(configs map[string]*sim.Config) (sweep.Request, error) {
+	pool, err := workloads.PoolByQuality(c.Quality)
 	if err != nil {
 		return sweep.Request{}, err
 	}
-	if tmpl.Workload.Params != c.Params {
+	i := slices.IndexFunc(pool, func(w *workloads.Workload) bool { return w.Name == c.Workload })
+	if i < 0 {
+		return sweep.Request{}, fmt.Errorf("fleet: unknown workload %q in the %s pool", c.Workload, c.Quality)
+	}
+	if wl := pool[i]; wl.Params != c.Params {
 		return sweep.Request{}, fmt.Errorf("fleet: workload %s/%s params mismatch: coordinator %q, worker %q",
-			c.Quality, c.Workload, c.Params, tmpl.Workload.Params)
+			c.Quality, c.Workload, c.Params, wl.Params)
 	}
-	var cfg sim.Config
-	if err := json.Unmarshal(c.System, &cfg); err != nil {
-		return sweep.Request{}, fmt.Errorf("fleet: unmarshal system: %w", err)
-	}
-	if err := cfg.Validate(); err != nil {
-		return sweep.Request{}, fmt.Errorf("fleet: %w", err)
+	cfg := configs[string(c.System)]
+	if cfg == nil {
+		cfg = new(sim.Config)
+		if err := json.Unmarshal(c.System, cfg); err != nil {
+			return sweep.Request{}, fmt.Errorf("fleet: unmarshal system: %w", err)
+		}
+		if err := cfg.Validate(); err != nil {
+			return sweep.Request{}, fmt.Errorf("fleet: %w", err)
+		}
+		if configs != nil {
+			configs[string(c.System)] = cfg
+		}
 	}
 	return sweep.Request{
-		Workload: tmpl.Workload,
-		System:   &cfg,
+		Workload: pool[i],
+		System:   cfg,
 		Variant:  core.Variant(c.Variant),
 		Options:  c.Options,
 		Exec:     core.ExecMode(c.Exec),
 	}, nil
-}
-
-// ResultData is the serializable snapshot of a core.Result carried in
-// completion reports (the Pass report is omitted, like in
-// internal/store: it holds pointers into live IR and no emitter reads
-// it).
-type ResultData struct {
-	Checksum int64
-	Cycles   float64
-	Stats    interp.Stats
-
-	L1Hits, L1Misses   uint64
-	DRAMAccesses       uint64
-	SWPrefetches       uint64
-	HWPrefetches       uint64
-	HWPrefetchDropped  uint64
-	TLBWalks           uint64
-	LoadStallCycles    float64
-	PrefetchLateCycles float64
-	PrefetchedUnusedL1 uint64
-}
-
-// ResultDataOf snapshots a result for the wire.
-func ResultDataOf(res *core.Result) ResultData {
-	return ResultData{
-		Checksum: res.Checksum,
-		Cycles:   res.Cycles,
-		Stats:    res.Stats,
-
-		L1Hits:             res.L1Hits,
-		L1Misses:           res.L1Misses,
-		DRAMAccesses:       res.DRAMAccesses,
-		SWPrefetches:       res.SWPrefetches,
-		HWPrefetches:       res.HWPrefetches,
-		HWPrefetchDropped:  res.HWPrefetchDropped,
-		TLBWalks:           res.TLBWalks,
-		LoadStallCycles:    res.LoadStallCycles,
-		PrefetchLateCycles: res.PrefetchLateCycles,
-		PrefetchedUnusedL1: res.PrefetchedUnusedL1,
-	}
-}
-
-// Result rebuilds a core.Result for the given request's coordinates.
-func (d ResultData) Result(r sweep.Request) *core.Result {
-	return &core.Result{
-		Workload: r.Workload.Name,
-		System:   r.System.Name,
-		Variant:  r.Variant,
-		Checksum: d.Checksum,
-		Cycles:   d.Cycles,
-		Stats:    d.Stats,
-
-		L1Hits:             d.L1Hits,
-		L1Misses:           d.L1Misses,
-		DRAMAccesses:       d.DRAMAccesses,
-		SWPrefetches:       d.SWPrefetches,
-		HWPrefetches:       d.HWPrefetches,
-		HWPrefetchDropped:  d.HWPrefetchDropped,
-		TLBWalks:           d.TLBWalks,
-		LoadStallCycles:    d.LoadStallCycles,
-		PrefetchLateCycles: d.PrefetchLateCycles,
-		PrefetchedUnusedL1: d.PrefetchedUnusedL1,
-	}
 }
 
 // LeaseCell is one cell inside a lease: the key the worker must echo
@@ -229,24 +180,16 @@ type Lease struct {
 	ID    string      `json:"id"`
 	TTLMS int64       `json:"ttl_ms"`
 	Cells []LeaseCell `json:"cells"`
-
-	// reqs holds the live requests for in-process workers, indexed
-	// like Cells; remote workers reconstruct them from the specs.
-	reqs []sweep.Request
 }
-
-// Requests returns the lease's cells as live requests — the in-process
-// fast path that skips the wire round trip.
-func (l *Lease) Requests() []sweep.Request { return l.reqs }
 
 // TTL returns the lease's time-to-live.
 func (l *Lease) TTL() time.Duration { return time.Duration(l.TTLMS) * time.Millisecond }
 
 // CellResult is one cell's outcome in a completion report.
 type CellResult struct {
-	Key    string      `json:"key"`
-	Err    string      `json:"err,omitempty"`
-	Result *ResultData `json:"result,omitempty"`
+	Key    string           `json:"key"`
+	Err    string           `json:"err,omitempty"`
+	Result *core.ResultData `json:"result,omitempty"`
 }
 
 // ErrQueueFull is returned by Submit when admitting the submission's
@@ -263,35 +206,16 @@ func (e ErrQueueFull) Error() string {
 		e.Live, e.New, e.Limit, e.RetryAfter)
 }
 
-// Progress is one progress notification on a ticket subscription.
-type Progress struct {
-	Done, Total int
-	Finished    bool
-}
-
-// Ticket tracks one submission through the queue: per-request outcome
-// slots, a progress counter, and subscriber channels for streaming.
+// Ticket tracks one submission through the queue: its per-request
+// outcome slots and its progress callbacks.
 type Ticket struct {
-	q     *Queue
-	total int
+	onProgress []func(done, total int)
 
-	mu       sync.Mutex
-	outs     []sweep.Outcome
-	done     int
-	finished bool
-	subs     map[chan Progress]bool
+	mu   sync.Mutex
+	outs []sweep.Outcome
+	done int
 
 	doneCh chan struct{}
-}
-
-// Total returns the submission's cell count.
-func (t *Ticket) Total() int { return t.total }
-
-// Progress returns completed and total counts.
-func (t *Ticket) Progress() (done, total int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done, t.total
 }
 
 // Done is closed when every cell of the submission has an outcome.
@@ -302,69 +226,24 @@ func (t *Ticket) Done() <-chan struct{} { return t.doneCh }
 func (t *Ticket) ResultSet() (*sweep.ResultSet, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.finished {
+	if t.done < len(t.outs) {
 		return nil, false
 	}
 	return &sweep.ResultSet{Outcomes: t.outs}, true
 }
 
-// Subscribe registers a progress listener. The channel is buffered and
-// intermediate events may be coalesced (counts are monotonic), but the
-// final Finished event is always delivered. The returned cancel
-// function unsubscribes and closes the channel; it is idempotent.
-func (t *Ticket) Subscribe() (<-chan Progress, func()) {
-	ch := make(chan Progress, 16)
-	t.mu.Lock()
-	if t.subs == nil {
-		t.subs = make(map[chan Progress]bool)
-	}
-	t.subs[ch] = true
-	// Seed with the current state so late subscribers see something
-	// immediately — including the terminal event of a finished ticket.
-	t.pushLocked(ch, Progress{Done: t.done, Total: t.total, Finished: t.finished})
-	t.mu.Unlock()
-	return ch, func() {
-		t.mu.Lock()
-		if t.subs[ch] {
-			delete(t.subs, ch)
-			close(ch)
-		}
-		t.mu.Unlock()
-	}
-}
-
-// pushLocked delivers without blocking: if the buffer is full the
-// oldest event is dropped — later events carry newer counts.
-func (t *Ticket) pushLocked(ch chan Progress, p Progress) {
-	for {
-		select {
-		case ch <- p:
-			return
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-		}
-	}
-}
-
-// deliver fills one outcome slot and advances progress.
+// deliver fills one outcome slot and reports progress.
 func (t *Ticket) deliver(idx int, res *core.Result, err error) {
 	t.mu.Lock()
 	t.outs[idx].Result = res
 	t.outs[idx].Err = err
 	t.done++
-	p := Progress{Done: t.done, Total: t.total, Finished: t.done == t.total}
-	for ch := range t.subs {
-		t.pushLocked(ch, p)
-	}
-	fin := p.Finished && !t.finished
-	if fin {
-		t.finished = true
-	}
+	done := t.done
 	t.mu.Unlock()
-	if fin {
+	for _, f := range t.onProgress {
+		f(done, len(t.outs))
+	}
+	if done == len(t.outs) {
 		close(t.doneCh)
 	}
 }
@@ -558,8 +437,8 @@ func (q *Queue) collect(emit func(obs.Sample)) {
 	counter("swpf_queue_dup_dropped_total", "Duplicate or late completions dropped.", s.DupDropped)
 }
 
-// LeaseTTL returns the queue's lease time-to-live.
-func (q *Queue) LeaseTTL() time.Duration { return q.ttl }
+// MaxPending returns the queue's live-cell bound.
+func (q *Queue) MaxPending() int { return q.maxPending }
 
 // Submit enqueues a request list at the given priority. specs must
 // parallel reqs (SpecFor per request). Cache hits are answered
@@ -567,11 +446,18 @@ func (q *Queue) LeaseTTL() time.Duration { return q.ttl }
 // genuinely new cells enter the queue — atomically: if they would
 // exceed the live-cell bound, ErrQueueFull is returned and nothing is
 // enqueued.
-func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int) (*Ticket, error) {
+//
+// Each onProgress callback is invoked after each outcome the
+// submission receives with the running completion count and the
+// submission's total, like sweep.Runner.OnProgress: for cache hits
+// before Submit returns, for the rest from the Complete calls that
+// deliver them, concurrently and possibly out of order. The last call
+// (done == total) returns before the ticket's Done channel closes.
+func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int, onProgress ...func(done, total int)) (*Ticket, error) {
 	if len(specs) != len(reqs) {
 		return nil, fmt.Errorf("fleet: %d specs for %d requests", len(specs), len(reqs))
 	}
-	t := &Ticket{q: q, total: len(reqs), outs: make([]sweep.Outcome, len(reqs)), doneCh: make(chan struct{})}
+	t := &Ticket{onProgress: onProgress, outs: make([]sweep.Outcome, len(reqs)), doneCh: make(chan struct{})}
 	for i, r := range reqs {
 		t.outs[i].Request = r
 	}
@@ -648,9 +534,6 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int) (*Ticke
 	// An all-hit (or empty) submission finishes here without ever
 	// waking a worker.
 	if len(reqs) == 0 {
-		t.mu.Lock()
-		t.finished = true
-		t.mu.Unlock()
 		close(t.doneCh)
 	}
 	return t, nil
@@ -779,7 +662,6 @@ func (q *Queue) leaseLocked(worker string, max int) *Lease {
 	out := &Lease{ID: l.id, TTLMS: q.ttl.Milliseconds()}
 	for _, c := range l.cells {
 		out.Cells = append(out.Cells, LeaseCell{Key: c.key, Spec: c.spec})
-		out.reqs = append(out.reqs, c.req)
 	}
 	return out
 }
@@ -841,7 +723,7 @@ func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dro
 			d.err = fmt.Errorf("fleet: worker %s reported cell %s with neither result nor error", worker, r.Key[:12])
 			q.failed++
 		} else {
-			d.res = r.Result.Result(c.req)
+			d.res = r.Result.Result(c.req.Workload.Name, c.req.System.Name, c.req.Variant)
 		}
 		q.completed++
 		accepted++

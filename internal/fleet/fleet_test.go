@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/uarch"
@@ -47,8 +49,8 @@ func tinyReqs(t *testing.T, nWorkloads int, exec core.ExecMode) ([]sweep.Request
 var tinyPool = sync.OnceValue(workloads.Tiny)
 
 // fakeResult fabricates a distinct result payload for a cell.
-func fakeResult(i int) *ResultData {
-	return &ResultData{Checksum: int64(1000 + i), Cycles: float64(i) + 0.5}
+func fakeResult(i int) *core.ResultData {
+	return &core.ResultData{Checksum: int64(1000 + i), Cycles: float64(i) + 0.5}
 }
 
 // leaseNow leases what is pending without waiting: LeaseWait under a
@@ -449,18 +451,10 @@ func TestErrorCellsFailWaiters(t *testing.T) {
 // cell key on the worker side.
 func TestCellSpecRoundTrip(t *testing.T) {
 	reqs, specs := tinyReqs(t, 1, core.ExecReplay)
-	resolve := func(quality, name string) (*sweep.Request, error) {
-		if quality != "tiny" {
-			t.Fatalf("resolver asked for quality %q", quality)
-		}
-		ws, err := sweep.SelectWorkloads(tinyPool(), name)
-		if err != nil {
-			return nil, err
-		}
-		return &sweep.Request{Workload: ws[0]}, nil
-	}
+	configs := make(map[string]*sim.Config)
+	var system *sim.Config
 	for i, sp := range specs {
-		got, err := sp.Request(resolve)
+		got, err := sp.Request(configs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,6 +464,15 @@ func TestCellSpecRoundTrip(t *testing.T) {
 		if got.Exec != core.ExecReplay {
 			t.Fatalf("spec %d lost the exec mode: %q", i, got.Exec)
 		}
+		// Every cell is on A53: one decoded configuration serves all.
+		if system == nil {
+			system = got.System
+		} else if got.System != system {
+			t.Fatalf("spec %d decoded its machine again instead of sharing the interned one", i)
+		}
+	}
+	if len(configs) != 1 {
+		t.Fatalf("%d interned configurations for one machine", len(configs))
 	}
 }
 
@@ -486,56 +489,99 @@ func TestCellSpecRejectsBadSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resolve := func(_, name string) (*sweep.Request, error) {
-		ws, err := sweep.SelectWorkloads(tinyPool(), name)
-		if err != nil {
-			return nil, err
-		}
-		return &sweep.Request{Workload: ws[0]}, nil
-	}
-	if _, err := sp.Request(resolve); err == nil || !strings.Contains(err.Error(), bad.Validate().Error()) {
+	if _, err := sp.Request(nil); err == nil || !strings.Contains(err.Error(), bad.Validate().Error()) {
 		t.Fatalf("Request with a 48-byte L1 line = %v, want the validation error", err)
 	}
 }
 
-// TestSubscribeStreamsProgress: subscribers see monotonic counts ending
-// in a Finished event; late subscribers see the terminal state.
+// TestCellSpecRejectsSkew: a wire cell whose workload this process
+// does not know, or knows with other parameters, is an error rather
+// than the wrong experiment.
+func TestCellSpecRejectsSkew(t *testing.T) {
+	_, specs := tinyReqs(t, 1, core.ExecDirect)
+	unknown, skewed := specs[0], specs[0]
+	unknown.Workload = "NOPE"
+	skewed.Params += ",extra=1"
+	for _, tc := range []struct {
+		sp   CellSpec
+		want string
+	}{{unknown, `unknown workload "NOPE" in the tiny pool`}, {skewed, "params mismatch"}} {
+		if _, err := tc.sp.Request(nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Request(%s/%s) = %v, want %q", tc.sp.Workload, tc.sp.Params, err, tc.want)
+		}
+	}
+}
+
+// TestSubscribeStreamsProgress: a submission's progress callbacks see
+// every outcome, cache hits delivered inside Submit included, ending at
+// done == total before the ticket's Done channel closes.
 func TestSubscribeStreamsProgress(t *testing.T) {
-	q := New(Options{})
-	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
-	tk, err := q.Submit(reqs, specs, 0)
+	cache := &countingCache{}
+	q := New(Options{Cache: cache})
+	reqs, specs := tinyReqs(t, 2, core.ExecDirect)
+	cache.Put(reqs[0], &core.Result{Checksum: 1})
+
+	var mu sync.Mutex
+	var calls [][2]int
+	var doneSeen bool
+	tk, err := q.Submit(reqs, specs, 0, func(done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls = append(calls, [2]int{done, total})
+	}, func(done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		doneSeen = done == total
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := tk.Subscribe()
-	defer cancel()
+	mu.Lock()
+	if len(calls) != 1 || calls[0] != [2]int{1, len(reqs)} {
+		t.Fatalf("after Submit: progress calls %v, want the cache hit's [1 %d]", calls, len(reqs))
+	}
+	mu.Unlock()
+
 	completeAll(t, q, "w")
-
-	deadline := time.After(5 * time.Second)
-	last := Progress{}
-	for !last.Finished {
-		select {
-		case p := <-ch:
-			if p.Done < last.Done {
-				t.Fatalf("progress went backwards: %+v after %+v", p, last)
-			}
-			last = p
-		case <-deadline:
-			t.Fatal("no Finished event")
-		}
+	<-tk.Done()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(calls) != len(reqs) || !doneSeen {
+		t.Fatalf("progress calls %v (last done==total seen by the second callback: %v), want one per cell", calls, doneSeen)
 	}
-	if last.Done != len(reqs) || last.Total != len(reqs) {
-		t.Fatalf("terminal progress %+v, want %d/%d", last, len(reqs), len(reqs))
-	}
-
-	late, cancelLate := tk.Subscribe()
-	defer cancelLate()
-	select {
-	case p := <-late:
-		if !p.Finished {
-			t.Fatalf("late subscriber saw %+v, want Finished", p)
+	seen := make(map[int]bool)
+	for _, c := range calls {
+		if c[1] != len(reqs) || c[0] < 1 || c[0] > len(reqs) || seen[c[0]] {
+			t.Fatalf("progress calls %v: want each count 1..%d once, total %d", calls, len(reqs), len(reqs))
 		}
-	default:
-		t.Fatal("late subscriber saw nothing")
+		seen[c[0]] = true
+	}
+}
+
+// TestCellResultWire pins the completion report's JSON body byte for
+// byte: field names and order are the wire format between workers and
+// coordinators of different builds.
+func TestCellResultWire(t *testing.T) {
+	d := core.ResultData{
+		Checksum: -7, Cycles: 1234.5,
+		Stats:  interp.Stats{Cycles: 1234.5, Instructions: 11, Executed: 15, Loads: 12, Stores: 13, Prefetches: 14},
+		L1Hits: 1, L1Misses: 2, DRAMAccesses: 3, SWPrefetches: 4, HWPrefetches: 5, HWPrefetchDropped: 6,
+		TLBWalks: 7, LoadStallCycles: 8.25, PrefetchLateCycles: 9.5, PrefetchedUnusedL1: 10,
+	}
+	d.Stats.OpCounts[1] = 3
+	for _, tc := range []struct {
+		in   CellResult
+		want string
+	}{
+		{CellResult{Key: "k1", Result: &d}, `{"key":"k1","result":{"Checksum":-7,"Cycles":1234.5,"Stats":{"Cycles":1234.5,"Instructions":11,"Executed":15,"OpCounts":[0,3,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"Loads":12,"Stores":13,"Prefetches":14},"L1Hits":1,"L1Misses":2,"DRAMAccesses":3,"SWPrefetches":4,"HWPrefetches":5,"HWPrefetchDropped":6,"TLBWalks":7,"LoadStallCycles":8.25,"PrefetchLateCycles":9.5,"PrefetchedUnusedL1":10}}`},
+		{CellResult{Key: "k2", Err: "boom"}, `{"key":"k2","err":"boom"}`},
+	} {
+		got, err := json.Marshal(tc.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("CellResult JSON:\n got %s\nwant %s", got, tc.want)
+		}
 	}
 }

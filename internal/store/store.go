@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -216,28 +215,9 @@ func (s *Store) Key(r sweep.Request) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// resultData is the serializable snapshot of a core.Result. The Pass
-// report is deliberately absent: it holds pointers into live IR, and
-// no result-set consumer (records, CSV/JSON emitters, golden dumps)
-// reads it — cached results carry Pass == nil.
-type resultData struct {
-	Checksum int64
-	Cycles   float64
-	Stats    interp.Stats
-
-	L1Hits, L1Misses   uint64
-	DRAMAccesses       uint64
-	SWPrefetches       uint64
-	HWPrefetches       uint64
-	HWPrefetchDropped  uint64
-	TLBWalks           uint64
-	LoadStallCycles    float64
-	PrefetchLateCycles float64
-	PrefetchedUnusedL1 uint64
-}
-
 // object is the schema of one log line: the key coordinates repeated
-// in clear text (so the log is self-describing) plus the result.
+// in clear text (so the log is self-describing) plus the result's
+// snapshot.
 type object struct {
 	Key      string
 	Salt     string
@@ -246,7 +226,7 @@ type object struct {
 	System   string
 	Variant  string
 	Options  core.Options
-	Result   resultData
+	Result   core.ResultData
 }
 
 // span locates one line of the log: its offset and its length, newline
@@ -263,26 +243,7 @@ func (s *Store) Get(r sweep.Request) (*core.Result, bool) {
 		return nil, false
 	}
 	s.hits.Add(1)
-	d := o.Result
-	return &core.Result{
-		Workload: r.Workload.Name,
-		System:   r.System.Name,
-		Variant:  r.Variant,
-		Checksum: d.Checksum,
-		Cycles:   d.Cycles,
-		Stats:    d.Stats,
-
-		L1Hits:             d.L1Hits,
-		L1Misses:           d.L1Misses,
-		DRAMAccesses:       d.DRAMAccesses,
-		SWPrefetches:       d.SWPrefetches,
-		HWPrefetches:       d.HWPrefetches,
-		HWPrefetchDropped:  d.HWPrefetchDropped,
-		TLBWalks:           d.TLBWalks,
-		LoadStallCycles:    d.LoadStallCycles,
-		PrefetchLateCycles: d.PrefetchLateCycles,
-		PrefetchedUnusedL1: d.PrefetchedUnusedL1,
-	}, true
+	return o.Result.Result(r.Workload.Name, r.System.Name, r.Variant), true
 }
 
 // lookup reads the object stored under key. When the index holds no
@@ -366,22 +327,7 @@ func (s *Store) Put(r sweep.Request, res *core.Result) error {
 		System:   r.System.Name,
 		Variant:  string(r.Variant),
 		Options:  r.Options,
-		Result: resultData{
-			Checksum: res.Checksum,
-			Cycles:   res.Cycles,
-			Stats:    res.Stats,
-
-			L1Hits:             res.L1Hits,
-			L1Misses:           res.L1Misses,
-			DRAMAccesses:       res.DRAMAccesses,
-			SWPrefetches:       res.SWPrefetches,
-			HWPrefetches:       res.HWPrefetches,
-			HWPrefetchDropped:  res.HWPrefetchDropped,
-			TLBWalks:           res.TLBWalks,
-			LoadStallCycles:    res.LoadStallCycles,
-			PrefetchLateCycles: res.PrefetchLateCycles,
-			PrefetchedUnusedL1: res.PrefetchedUnusedL1,
-		},
+		Result:   res.Data(),
 	}
 	line, err := json.Marshal(&o)
 	if err != nil {

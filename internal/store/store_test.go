@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/workloads"
@@ -235,6 +236,44 @@ func TestCachedResultFields(t *testing.T) {
 	want.Pass = nil
 	if *got != want {
 		t.Errorf("cached result differs:\ngot  %+v\nwant %+v", *got, want)
+	}
+}
+
+// TestPutLineBytes pins one log line byte for byte: stores written by
+// earlier builds must keep serving, so the object's field names and
+// order, the snapshot's included, are the on-disk format.
+func TestPutLineBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSalted(dir, "pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := sweep.Request{
+		Workload: &workloads.Workload{Name: "IS", Params: "n=8"},
+		System:   &sim.Config{Name: "M"},
+		Variant:  core.VariantAuto,
+		Options:  core.Options{C: 16, Depth: 2, Hoist: true},
+	}
+	res := &core.Result{
+		Checksum: -7, Cycles: 1234.5,
+		Stats:  interp.Stats{Cycles: 1234.5, Instructions: 11, Executed: 15, Loads: 12, Stores: 13, Prefetches: 14},
+		L1Hits: 1, L1Misses: 2, DRAMAccesses: 3, SWPrefetches: 4, HWPrefetches: 5, HWPrefetchDropped: 6,
+		TLBWalks: 7, LoadStallCycles: 8.25, PrefetchLateCycles: 9.5, PrefetchedUnusedL1: 10,
+	}
+	res.Stats.OpCounts[1] = 3
+	if err := s.Put(req, res); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"Key":"2047daeda02745edeb2e39ad1ee26a2f57f1d768728fe50f4cc011582b94c24c","Salt":"pin","Workload":"IS","Params":"n=8","System":"M","Variant":"auto","Options":{"C":16,"Depth":2,"FlatOffset":false,"Hoist":true,"MaxInstrs":0},"Result":{"Checksum":-7,"Cycles":1234.5,"Stats":{"Cycles":1234.5,"Instructions":11,"Executed":15,"OpCounts":[0,3,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"Loads":12,"Stores":13,"Prefetches":14},"L1Hits":1,"L1Misses":2,"DRAMAccesses":3,"SWPrefetches":4,"HWPrefetches":5,"HWPrefetchDropped":6,"TLBWalks":7,"LoadStallCycles":8.25,"PrefetchLateCycles":9.5,"PrefetchedUnusedL1":10}}` + "\n"
+	if string(got) != want {
+		t.Errorf("Put line:\n got %s\nwant %s", got, want)
+	}
+	if back, ok := s.Get(req); !ok || back.Data() != res.Data() {
+		t.Errorf("the pinned line reads back as %+v, %v", back, ok)
 	}
 }
 

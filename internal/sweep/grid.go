@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -95,7 +96,7 @@ func (g Grid) Expand() []Request {
 	if len(execs) == 0 {
 		execs = []core.ExecMode{core.ExecDirect}
 	}
-	reqs := make([]Request, 0, len(g.Workloads)*len(g.Systems)*len(hws)*len(cores)*len(g.Variants)*len(execs))
+	reqs := make([]Request, 0, g.Size())
 	for _, w := range g.Workloads {
 		for _, cfg := range g.Systems {
 			for _, hw := range hws {
@@ -111,6 +112,30 @@ func (g Grid) Expand() []Request {
 		}
 	}
 	return reqs
+}
+
+// Size returns the number of requests Expand returns, without
+// expanding, saturating like Product.
+func (g Grid) Size() int {
+	return Product(len(g.Workloads), len(g.Systems), max(len(g.HWPrefetchers), 1),
+		max(len(g.Cores), 1), len(g.Variants), max(len(g.Execs), 1))
+}
+
+// Product multiplies non-negative counts, saturating at math.MaxInt,
+// so a caller can bound a grid that could never be built.
+func Product(counts ...int) int {
+	n := 1
+	for _, k := range counts {
+		switch {
+		case k == 0:
+			return 0
+		case n > math.MaxInt/k:
+			n = math.MaxInt
+		default:
+			n *= k
+		}
+	}
+	return n
 }
 
 // Run expands the grid and executes it on jobs workers.

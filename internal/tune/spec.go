@@ -2,6 +2,7 @@ package tune
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -19,12 +20,13 @@ import (
 // body and swpfctl tune all build (or decode) this struct, and Space
 // is the single place it is validated.
 //
-// The embedded spec's fixed-option fields (c, depth, hoist) and exec
-// axis must stay unset: those are the axes being searched. The variant
-// selector must resolve to exactly one non-plain variant ("" selects
-// auto); plain is the baseline every candidate is scored against. The
-// hwpf selector bounds the hardware-prefetcher search axis ("" pins
-// each system's own model).
+// The embedded spec's fixed-option fields (c, depth, hoist) must stay
+// unset: those are the axes being searched. So must its exec and core
+// axes, which the search does not cover. The variant selector must
+// resolve to exactly one non-plain variant ("" selects auto); plain is
+// the baseline every candidate is scored against. The hwpf selector
+// bounds the hardware-prefetcher search axis ("" pins each system's
+// own model).
 type Spec struct {
 	sweep.Spec
 	// Strategy selects the search strategy ("" = exhaustive; see
@@ -129,6 +131,21 @@ func (s *Space) Size() int {
 	return len(s.HWPFs) * len(s.Depths) * len(s.Hoists) * len(s.Cs)
 }
 
+// MaxBatch returns the most requests one evaluation round submits,
+// saturating like sweep.Product. Exhaustive's one round holds every
+// candidate of every pair plus a plain baseline per pair and hardware
+// prefetcher. Hillclimb's largest is its first round (a candidate and
+// its baseline per pair), one axis's alternatives (a hardware-prefetcher
+// move adds a baseline) or the final look-ahead curve.
+func (s *Space) MaxBatch() int {
+	pairs := sweep.Product(len(s.Workloads), len(s.Systems))
+	if s.Strategy == StrategyExhaustive {
+		candidates := sweep.Product(len(s.Depths), len(s.Hoists), len(s.Cs))
+		return sweep.Product(pairs, len(s.HWPFs), min(candidates, math.MaxInt-1)+1)
+	}
+	return sweep.Product(pairs, max(2, len(s.Cs), len(s.Depths)-1, len(s.Hoists)-1, 2*(len(s.HWPFs)-1)))
+}
+
 // Configs enumerates the candidate grid in tie-break order.
 func (s *Space) Configs() []Config {
 	out := make([]Config, 0, s.Size())
@@ -153,6 +170,9 @@ func (sp Spec) Space() (*Space, error) {
 	}
 	if sp.Exec != "" {
 		return nil, fmt.Errorf(`tune: "exec" is not a tuned axis (evaluations run direct)`)
+	}
+	if sp.Core != "" {
+		return nil, fmt.Errorf(`tune: "core" is not a tuned axis (evaluations run each system's own core model)`)
 	}
 	pool, err := sp.Pool()
 	if err != nil {

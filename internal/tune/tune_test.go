@@ -2,12 +2,17 @@ package tune
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/interp"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
 
 func skipInShort(t *testing.T) {
@@ -66,6 +71,7 @@ func TestSpecSpace(t *testing.T) {
 	}{
 		"fixed c":      {Spec{Spec: sweep.Spec{Quality: "tiny", C: 16}}, `"c", "depth" and "hoist" are searched`},
 		"fixed exec":   {Spec{Spec: sweep.Spec{Quality: "tiny", Exec: "replay"}}, `"exec" is not a tuned axis`},
+		"fixed core":   {Spec{Spec: sweep.Spec{Quality: "tiny", Core: "ooo"}}, `"core" is not a tuned axis`},
 		"two variants": {Spec{Spec: sweep.Spec{Quality: "tiny", Variants: "auto,manual"}}, "exactly one variant"},
 		"plain":        {Spec{Spec: sweep.Spec{Quality: "tiny", Variants: "plain"}}, "baseline"},
 		"bad variant":  {Spec{Spec: sweep.Spec{Quality: "tiny", Variants: "jit"}}, `sweep: unknown variant "jit"`},
@@ -80,6 +86,57 @@ func TestSpecSpace(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate = %v, want %q", name, err, tc.want)
 		}
+	}
+}
+
+// batchRunner fabricates results without simulating and records the
+// size of every evaluation batch. Cycles depend on every searched knob,
+// so hillclimb walks each axis.
+type batchRunner struct{ batches []int }
+
+func (b *batchRunner) Execute(reqs []sweep.Request) (*sweep.ResultSet, error) {
+	b.batches = append(b.batches, len(reqs))
+	set := &sweep.ResultSet{Outcomes: make([]sweep.Outcome, len(reqs))}
+	for i, r := range reqs {
+		cycles := 1000.0
+		if r.Variant != core.VariantPlain {
+			o := r.Options
+			cycles = 500 + math.Abs(float64(o.C-32)) + 7*float64(o.Depth) + float64(len(r.System.HWPrefetcherName()))
+			if o.Hoist {
+				cycles -= 3
+			}
+		}
+		set.Outcomes[i] = sweep.Outcome{Request: r, Result: &core.Result{Cycles: cycles}}
+	}
+	return set, nil
+}
+
+// TestMaxBatch: MaxBatch is exhaustive's one batch exactly and bounds
+// every hillclimb batch, and it saturates instead of overflowing.
+func TestMaxBatch(t *testing.T) {
+	sp := tinySpec("IS,CG", "A53,Haswell")
+	sp.HWPF = "default,none,stride"
+	sp.Cs, sp.Depths, sp.Hoists = "8,16,32,64", "0,1,2", "false,true"
+	for _, strategy := range []string{"exhaustive", "hillclimb"} {
+		sp.Strategy = strategy
+		space, err := sp.Space()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b batchRunner
+		if _, err := (Tuner{Runner: &b}).Run(sp); err != nil {
+			t.Fatal(err)
+		}
+		largest := slices.Max(b.batches)
+		if largest > space.MaxBatch() || (strategy == "exhaustive" && largest != space.MaxBatch()) {
+			t.Errorf("%s: batches %v, MaxBatch %d", strategy, b.batches, space.MaxBatch())
+		}
+	}
+	huge := make([]int64, 1<<16)
+	space := &Space{Workloads: make([]*workloads.Workload, 1<<16), Systems: make([]*sim.Config, 1<<16),
+		HWPFs: []string{"none"}, Cs: huge, Depths: make([]int, 1<<16), Hoists: []bool{false}, Strategy: StrategyExhaustive}
+	if got := space.MaxBatch(); got != math.MaxInt {
+		t.Errorf("2^64 candidates: MaxBatch = %d, want math.MaxInt", got)
 	}
 }
 
