@@ -118,7 +118,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		genN      = fs.Int("gen", 0, "sweep: add N generated kernels (internal/gen) to the selectable workload pool as GEN-00..")
 		genSeed   = fs.Uint64("gen-seed", wkl.SyntheticDefaultSeed, "sweep: generator seed for -gen kernels")
 		execAxis  = fs.String("exec", "", "sweep: comma-separated execution modes among direct,replay (default: direct); replay interprets each workload/variant once and retimes it on every machine")
-		traceFile = fs.String("trace", "", "replay an imported text trace (one \"pc addr size kind\" access per line; see docs/trace.md) across -systems x -hwpf, then exit")
+		traceFile = fs.String("trace", "", "replay an imported text trace (one \"pc addr size kind\" access per line; see docs/trace.md) across -systems x -hwpf x -core, then exit")
 		c         = fs.Int64("c", 0, "sweep: look-ahead constant (0 = the paper's 64)")
 		depth     = fs.Int("depth", 0, "sweep: stagger depth limit (0 = unlimited)")
 		hoist     = fs.Bool("hoist", false, "sweep: enable loop hoisting in the automatic pass")
@@ -155,7 +155,19 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 
 	if *traceFile != "" {
-		return replayImported(*traceFile, *systems, *hwpfAxis, *jsonOut, stdout)
+		// The trace fixes the workload, the variant and the execution;
+		// only the timing axes apply to it.
+		var fixed []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "workloads", "variants", "exec", "c", "depth", "hoist", "gen", "sweep", "tune":
+				fixed = append(fixed, "-"+f.Name)
+			}
+		})
+		if len(fixed) > 0 {
+			return fmt.Errorf("-trace fixes the workload, variant and execution mode; %s cannot be given with it", strings.Join(fixed, ", "))
+		}
+		return replayImported(*traceFile, *systems, *hwpfAxis, *coreAxis, *jsonOut, stdout)
 	}
 
 	var cache sweep.Cache
@@ -277,12 +289,12 @@ func writeAxes(w io.Writer, q bench.Quality) error {
 }
 
 // replayImported parses an external text trace (trace.ParseText) and
-// retimes it on every selected system x hardware-prefetcher cell,
-// emitting the cells as sweep records (workload named after the file,
-// variant "imported", exec "replay"), like -sweep. The trace decodes to
-// one shared image, so the import is paid once regardless of the cell
-// count.
-func replayImported(path, systems, hwpfAxis string, jsonOut bool, stdout io.Writer) error {
+// retimes it on every selected system x hardware-prefetcher x core
+// cell, emitting the cells as sweep records (workload named after the
+// file, variant "imported", exec "replay"), like -sweep. The trace
+// decodes to one shared image, so the import is paid once regardless
+// of the cell count.
+func replayImported(path, systems, hwpfAxis, coreAxis string, jsonOut bool, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -305,11 +317,16 @@ func replayImported(path, systems, hwpfAxis string, jsonOut bool, stdout io.Writ
 	if err != nil {
 		return err
 	}
+	cores, err := sweep.ParseCores(coreAxis)
+	if err != nil {
+		return err
+	}
 
 	grid := sweep.Grid{
 		Workloads:     []*wkl.Workload{{Name: name}},
 		Systems:       cfgs,
 		HWPrefetchers: hws,
+		Cores:         cores,
 		Variants:      []core.Variant{core.Variant(t.Meta.Variant)},
 		Execs:         []core.ExecMode{core.ExecReplay},
 	}

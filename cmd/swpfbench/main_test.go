@@ -205,6 +205,35 @@ func TestTraceImportReplay(t *testing.T) {
 		t.Errorf("trace replay JSON malformed:\n%s", j1.String())
 	}
 
+	// The core axis applies: one row per model, an unknown one is an
+	// error.
+	out.Reset()
+	if err := run([]string{"-trace", path, "-systems", "A53", "-core", "ooo,inorder"}, &out, &bytes.Buffer{}); err != nil {
+		t.Fatalf("-trace -core: %v", err)
+	}
+	for _, want := range []string{"capture,A53,imported,stride,ooo,replay,", "capture,A53,imported,stride,inorder,replay,"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-trace -core missing row %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Count(out.String(), "\n") != 3 {
+		t.Errorf("-trace -core: expected 2 rows:\n%s", out.String())
+	}
+	if err := run([]string{"-trace", path, "-core", "bogus"}, &bytes.Buffer{}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("-trace -core bogus error = %v", err)
+	}
+	// The trace fixes workload, variant and execution: those flags, and
+	// the other modes, are errors naming the flag.
+	for _, extra := range [][]string{
+		{"-workloads", "IS"}, {"-variants", "plain"}, {"-exec", "direct"}, {"-c", "16"}, {"-depth", "2"},
+		{"-hoist"}, {"-gen", "4"}, {"-sweep"}, {"-tune"},
+	} {
+		err := run(append([]string{"-trace", path, "-systems", "A53"}, extra...), &bytes.Buffer{}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), extra[0]) {
+			t.Errorf("-trace with %s: error = %v, want one naming the flag", extra[0], err)
+		}
+	}
+
 	// Failure modes: missing file, bad grammar.
 	if err := run([]string{"-trace", filepath.Join(dir, "absent")}, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 		t.Error("missing trace file accepted")

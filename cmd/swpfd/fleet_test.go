@@ -364,16 +364,21 @@ func TestFleetWorkerLoop(t *testing.T) {
 	// API using the same code `swpfd -worker` runs.
 	w := remoteWorker(ts.URL, "test-worker", 2, 3, obs.Discard())
 	// Lease until every cell is out: a lease request on an empty queue
-	// would wait out the coordinator's bound before its 204.
-	for leased := 0; leased < cells; {
+	// would wait out the coordinator's bound before its 204. serve
+	// returns once every report has.
+	leased := 0
+	w.serve(func() (*fleet.Lease, string) {
+		if leased == cells {
+			return nil, ""
+		}
 		l, rid := w.lease(context.Background())
 		if l == nil {
-			t.Fatalf("lease answered 204 with %d of %d cells leased", leased, cells)
+			t.Errorf("lease answered 204 with %d of %d cells leased", leased, cells)
+			return nil, ""
 		}
 		leased += len(l.Cells)
-		w.execute(l, rid)
-	}
-	w.reporting.Wait() // the last report is still in flight
+		return l, rid
+	})
 
 	final := poll(t, ts, id)
 	if final.State != stateDone || final.Done != cells {
@@ -472,8 +477,7 @@ func TestLeaseExpiryOverHTTP(t *testing.T) {
 	if l2 == nil || len(l2.Cells) != cells {
 		t.Fatalf("requeued lease wrong: %+v", l2)
 	}
-	w.execute(l2, rid)
-	w.reporting.Wait()
+	w.serve(once(l2, rid))
 	if final := poll(t, ts, id); final.State != stateDone || final.Done != cells {
 		t.Fatalf("job after requeue: %+v", final)
 	}

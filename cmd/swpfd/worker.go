@@ -1,11 +1,13 @@
 // Fleet workers. One loop executes cells for every worker: the
 // daemon's in-process workers run it against their own *fleet.Queue,
 // and `swpfd -worker http://coordinator:8077` runs it against a remote
-// coordinator's HTTP API. The loop is lease → rebuild → execute →
-// report, with heartbeats keeping the lease alive until its report
-// returns; the coordinator owns all bookkeeping (dedupe, persistence,
-// result fan-out), so a worker holds no state worth preserving — kill
-// it any time and its leased cells return to the queue when the lease
+// coordinator's HTTP API. Each lease goes lease → rebuild → execute →
+// report, with heartbeats keeping it alive until its report returns,
+// and every lease runs on the worker's one long-lived sweep pool, whose
+// goroutines keep their simulators and kernels from lease to lease.
+// The coordinator owns all bookkeeping (dedupe, persistence, result
+// fan-out), so a worker holds no state worth preserving — kill it any
+// time and its leased cells return to the queue when the lease
 // expires.
 //
 // Workers rebuild cells from wire specs (fleet.CellSpec.Request): the
@@ -46,13 +48,23 @@ type coordinator interface {
 
 // fleetWorker is the worker loop.
 type fleetWorker struct {
-	coord     coordinator
-	name      string
-	batch     int
-	runner    sweep.Runner
-	log       *slog.Logger
-	reporting sync.WaitGroup // the completion report in flight
+	coord  coordinator
+	name   string
+	batch  int
+	runner sweep.Runner
+	log    *slog.Logger
+	// configs interns decoded machine configurations by wire bytes for
+	// the worker's lifetime, so cells of every lease that share a
+	// machine share one *sim.Config and so one recycled simulator per
+	// sweep goroutine. Only the goroutine fetching a lease touches it.
+	configs   map[string]*sim.Config
+	reporting sync.WaitGroup // completion reports in flight
 }
+
+// maxConfigs bounds the interned configurations: a worker that has
+// seen more starts the table over, so its memory does not grow with
+// the number of machines it is asked to simulate.
+const maxConfigs = 256
 
 // runWorker is the worker-mode main loop: ask the coordinator for
 // leases until killed.
@@ -89,11 +101,30 @@ func remoteWorker(url, name string, jobs, batch int, log *slog.Logger) *fleetWor
 // coordinator until work arrives, so an idle worker neither sleeps nor
 // polls.
 func (w *fleetWorker) run(ctx context.Context) {
-	for ctx.Err() == nil {
-		if l, rid := w.lease(ctx); l != nil {
-			w.execute(l, rid)
+	w.serve(func() (*fleet.Lease, string) {
+		for ctx.Err() == nil {
+			if l, rid := w.lease(ctx); l != nil {
+				return l, rid
+			}
 		}
-	}
+		return nil, ""
+	})
+}
+
+// serve runs the leases next returns on the worker's one sweep pool
+// (sweep.Runner.Serve) until next returns nil, then waits for the last
+// report. The pool's goroutines keep their simulators and kernels
+// across leases, and a goroutine with no cell to start asks for the
+// next lease while the others finish theirs, so leases overlap.
+func (w *fleetWorker) serve(next func() (*fleet.Lease, string)) {
+	w.runner.Serve(func() (sweep.Batch, bool) {
+		l, rid := next()
+		if l == nil {
+			return sweep.Batch{}, false
+		}
+		return w.start(l, rid), true
+	})
+	w.reporting.Wait()
 }
 
 // lease asks for a batch under a fresh request ID: the batch logs under
@@ -104,27 +135,26 @@ func (w *fleetWorker) lease(ctx context.Context) (*fleet.Lease, string) {
 	return w.coord.LeaseWait(context.WithValue(ctx, ridKey{}, rid), w.name, w.batch), rid
 }
 
-// execute rebuilds a lease's requests from their wire specs, decoding
-// each distinct machine configuration once, runs them, and reports
-// every cell — results for the runnable ones, errors for the rest —
-// while a background heartbeat keeps the lease alive until the report
-// returns. The report goes out from a goroutine once the previous
-// lease's report has returned, so the caller's next lease request
-// overlaps it and at most one report is in flight; reporting.Wait
-// waits for it.
-func (w *fleetWorker) execute(l *fleet.Lease, rid string) {
+// start opens a lease for the pool: it starts a background heartbeat
+// and rebuilds the lease's requests from their wire specs. The batch's
+// Done reports every cell — results for the runnable ones, errors for
+// the rest — from a goroutine, and the heartbeat keeps the lease alive
+// until the report returns; reporting.Wait waits for every report.
+func (w *fleetWorker) start(l *fleet.Lease, rid string) sweep.Batch {
 	log := w.log.With("rid", rid, "lease", l.ID)
 	log.Info("lease", "cells", len(l.Cells), "ttl", l.TTL().String())
 	stop := make(chan struct{})
 	go w.heartbeat(l, stop)
 
+	if w.configs == nil || len(w.configs) >= maxConfigs {
+		w.configs = make(map[string]*sim.Config)
+	}
 	results := make([]fleet.CellResult, len(l.Cells))
 	var reqs []sweep.Request
 	var reqIdx []int
-	configs := make(map[string]*sim.Config)
 	for i, c := range l.Cells {
 		results[i] = fleet.CellResult{Key: c.Key}
-		req, err := c.Spec.Request(configs)
+		req, err := c.Spec.Request(w.configs)
 		if err != nil {
 			results[i].Err = err.Error()
 			continue
@@ -133,8 +163,7 @@ func (w *fleetWorker) execute(l *fleet.Lease, rid string) {
 		reqIdx = append(reqIdx, i)
 	}
 	start := time.Now()
-	if len(reqs) > 0 {
-		set, _ := w.runner.Execute(reqs)
+	return sweep.Batch{Reqs: reqs, Done: func(set *sweep.ResultSet) {
 		for n, o := range set.Outcomes {
 			i := reqIdx[n]
 			if o.Err != nil {
@@ -144,27 +173,26 @@ func (w *fleetWorker) execute(l *fleet.Lease, rid string) {
 				results[i].Result = &d
 			}
 		}
-	}
-	elapsed := time.Since(start).Round(time.Microsecond)
-	for _, res := range results {
-		log.Debug("cell", "key", res.Key, "err", res.Err)
-	}
-	log.Info("execute", "cells", len(l.Cells), "dur", elapsed.String())
+		elapsed := time.Since(start).Round(time.Microsecond)
+		for _, res := range results {
+			log.Debug("cell", "key", res.Key, "err", res.Err)
+		}
+		log.Info("execute", "cells", len(l.Cells), "dur", elapsed.String())
 
-	w.reporting.Wait()
-	w.reporting.Add(1)
-	go func() {
-		defer w.reporting.Done()
-		defer close(stop)
-		accepted, dropped := w.coord.Complete(l.ID, w.name, results)
-		if accepted+dropped == 0 {
-			return // the report never arrived: the client logged why
-		}
-		log.Info("complete", "accepted", accepted, "dropped", dropped, "dur", elapsed.String())
-		if dropped > 0 {
-			log.Warn("duplicate cells dropped by coordinator", "dropped", dropped)
-		}
-	}()
+		w.reporting.Add(1)
+		go func() {
+			defer w.reporting.Done()
+			defer close(stop)
+			accepted, dropped := w.coord.Complete(l.ID, w.name, results)
+			if accepted+dropped == 0 {
+				return // the report never arrived: the client logged why
+			}
+			log.Info("complete", "accepted", accepted, "dropped", dropped, "dur", elapsed.String())
+			if dropped > 0 {
+				log.Warn("duplicate cells dropped by coordinator", "dropped", dropped)
+			}
+		}()
+	}}
 }
 
 // heartbeat extends the lease until stop closes or the coordinator

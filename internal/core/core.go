@@ -14,6 +14,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -187,39 +189,122 @@ func passOptions(v Variant, o Options) (prefetch.Options, bool) {
 // between runs — the sim package's Reset paths preserve their table
 // storage, so a worker goroutine that executes many experiment-grid
 // cells recycles its cache/TLB/MSHR/stride bookkeeping instead of
-// reallocating it per run (see internal/sweep).
+// reallocating it per run (see internal/sweep). It also memoizes each
+// kernel it builds, per (workload, variant, options): the module, the
+// pass report and the verification outcome, so a repeated cell runs
+// the pass and the verifier once.
 //
 // Results are bit-identical to Run with a fresh simulator: Reset
-// restores a cold core, and regression tests enforce the equivalence.
-// A Context is not safe for concurrent use; give each goroutine its
-// own.
+// restores a cold core, interpretation never mutates a module, and
+// regression tests enforce the equivalence. A Context keeps everything
+// it builds until Trim. It is not safe for concurrent use; give each
+// goroutine its own.
 type Context struct {
-	cores map[*sim.Config]sim.CoreModel
+	cores   map[*sim.Config]*entry[sim.CoreModel]
+	kernels map[kernelKey]*entry[kernel]
+	clock   uint64 // the last use stamp handed out
 }
 
-// NewContext returns an empty context; cores are built lazily per
-// configuration on first use.
+// entry is one retained simulator or kernel with its last use.
+type entry[T any] struct {
+	v    T
+	used uint64
+}
+
+// kernelKey identifies a built kernel.
+type kernelKey struct {
+	w *workloads.Workload
+	v Variant
+	o Options
+}
+
+// kernel is one built variant of a workload, as instance returns it.
+type kernel struct {
+	inst *workloads.Instance
+	pass *prefetch.Result
+	err  error
+}
+
+// What a context keeps across Trim: the most recently used simulators
+// and kernels. A simulator of the largest preset (Haswell) is ~0.3 MB
+// and a kernel 7–12 KB, so a trimmed context holds about 2 MB at most
+// however many configurations and workloads have passed through it.
+const (
+	keepSimulators = 4
+	keepKernels    = 64
+)
+
+// NewContext returns an empty context; cores and kernels are built
+// lazily on first use.
 func NewContext() *Context {
-	return &Context{cores: make(map[*sim.Config]sim.CoreModel)}
+	return &Context{
+		cores:   make(map[*sim.Config]*entry[sim.CoreModel]),
+		kernels: make(map[kernelKey]*entry[kernel]),
+	}
+}
+
+// Trim drops all but the keepSimulators most recently used simulators
+// and the keepKernels most recently used kernels. A long-lived owner
+// (sweep.Runner.Serve) calls it between batches of work, never within
+// one, so memory stays bounded however many configurations pass
+// through while no batch builds a simulator twice on one context.
+func (cx *Context) Trim() {
+	trim(cx.cores, keepSimulators)
+	trim(cx.kernels, keepKernels)
+}
+
+// trim keeps the keep most recently used entries of m.
+func trim[K comparable, T any](m map[K]*entry[T], keep int) {
+	if len(m) <= keep {
+		return
+	}
+	used := make([]uint64, 0, len(m))
+	for _, e := range m {
+		used = append(used, e.used)
+	}
+	slices.Sort(used)
+	cut := used[len(used)-keep] // stamps are distinct
+	maps.DeleteFunc(m, func(_ K, e *entry[T]) bool { return e.used < cut })
+}
+
+// touch stamps e as the context's most recent use.
+func touch[T any](cx *Context, e *entry[T]) T {
+	cx.clock++
+	e.used = cx.clock
+	return e.v
 }
 
 // core returns the context's core for cfg, building it on first use;
 // the core timing model is whatever cfg.Core selects (empty = the
 // legacy interval model).
 func (cx *Context) core(cfg *sim.Config) sim.CoreModel {
-	if c, ok := cx.cores[cfg]; ok {
-		return c
+	e := cx.cores[cfg]
+	if e == nil {
+		e = &entry[sim.CoreModel]{v: sim.NewCoreModel(cfg)}
+		cx.cores[cfg] = e
 	}
-	c := sim.NewCoreModel(cfg)
-	cx.cores[cfg] = c
-	return c
+	return touch(cx, e)
+}
+
+// kernel returns the requested variant of the workload, building it on
+// first use (see instance).
+func (cx *Context) kernel(w *workloads.Workload, v Variant, o Options) (*workloads.Instance, *prefetch.Result, error) {
+	k := kernelKey{w, v, o}
+	e := cx.kernels[k]
+	if e == nil {
+		inst, pass, err := instance(w, v, o)
+		e = &entry[kernel]{v: kernel{inst, pass, err}}
+		cx.kernels[k] = e
+	}
+	kn := touch(cx, e)
+	return kn.inst, kn.pass, kn.err
 }
 
 // release detaches cfg's core from the memory of the run that just
 // finished. A prefetcher that reads simulated memory (hwpf.IMP) holds
 // it, and a cached core must not keep a finished run's address space
 // alive: a long-lived context caches a core per configuration.
-func (cx *Context) release(cfg *sim.Config) { cx.cores[cfg].Hierarchy().SetPeek(nil) }
+func (cx *Context) release(cfg *sim.Config) { cx.cores[cfg].v.Hierarchy().SetPeek(nil) }
 
 // Run builds the requested variant of the workload and executes it on
 // the given machine configuration, using a fresh simulator. For tight
@@ -286,9 +371,10 @@ func assemble(workload, system string, v Variant, sum int64, st interp.Stats, hi
 }
 
 // Run is the context-reusing counterpart of the package-level Run: the
-// simulator core for cfg is reset in place rather than rebuilt.
+// simulator core for cfg is reset in place rather than rebuilt, and a
+// kernel this context has built before is not built again.
 func (cx *Context) Run(w *workloads.Workload, cfg *sim.Config, v Variant, o Options) (*Result, error) {
-	inst, passRes, err := instance(w, v, o)
+	inst, passRes, err := cx.kernel(w, v, o)
 	if err != nil {
 		return nil, err
 	}

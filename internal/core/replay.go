@@ -57,7 +57,7 @@ func optionsMeta(o Options) string {
 // configuration yields identical bytes, which is why one trace serves
 // every machine × hwpf cell of a (workload, variant) group.
 func (cx *Context) Record(w *workloads.Workload, cfg *sim.Config, v Variant, o Options) (*trace.Trace, *Result, error) {
-	inst, passRes, err := instance(w, v, o)
+	inst, passRes, err := cx.kernel(w, v, o)
 	if err != nil {
 		return nil, nil, err
 	}

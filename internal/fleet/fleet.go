@@ -21,9 +21,10 @@
 //   - Leases, not assignments. Workers pull batches of cells under a
 //     lease with a TTL; a worker that dies simply stops heartbeating
 //     and its cells return to the queue when the lease expires — no
-//     cell is ever lost. Duplicate completions (a slow worker racing a
-//     re-lease) are dropped idempotently, so no cell's result is ever
-//     accepted, or persisted, twice.
+//     cell is ever lost, and one whose leases expire MaxExpiries times
+//     fails instead of circulating forever. Duplicate completions (a
+//     slow worker racing a re-lease) are dropped idempotently, so no
+//     cell's result is ever accepted, or persisted, twice.
 //   - Bounded backpressure. Live cells (pending + leased) are capped;
 //     a submission that would exceed the cap is rejected atomically
 //     with ErrQueueFull before anything is enqueued — cmd/swpfd maps
@@ -282,8 +283,17 @@ type cell struct {
 	state    cellState
 	leaseID  string
 	leasedAt time.Time // last time the cell was handed to a worker
+	expiries int       // leases of the cell that expired
 	waiters  []waiter
 }
+
+// MaxExpiries is how many of a cell's leases may expire before the
+// queue fails it: a cell that kills every worker it reaches (say by
+// running it out of memory) must not circulate through the fleet
+// forever. Its waiters receive an error naming the attempts and the
+// last worker; nothing is persisted, so a later submission of the cell
+// starts afresh.
+const MaxExpiries = 3
 
 type lease struct {
 	id       string
@@ -368,6 +378,9 @@ type Queue struct {
 	leaseSeq int64
 	workers  map[string]time.Time
 	wake     chan struct{}
+	// abandoned holds cells expireLocked failed, for unlock to deliver
+	// once the lock is released.
+	abandoned []abandonedCell
 
 	submissions, cellsSeen, cacheHits, dedupHits int64
 	completed, failed, requeued, dupDropped      int64
@@ -488,7 +501,7 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int, onProgr
 		}
 	}
 	if live := len(q.cells); live+len(newKeys) > q.maxPending {
-		q.mu.Unlock()
+		q.unlock()
 		return nil, ErrQueueFull{Live: live, New: len(newKeys), Limit: q.maxPending, RetryAfter: time.Second}
 	}
 
@@ -522,7 +535,7 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int, onProgr
 	if enqueued {
 		q.notifyLocked()
 	}
-	q.mu.Unlock()
+	q.unlock()
 
 	// Deliver cache hits after releasing the queue lock; deliver takes
 	// only the ticket lock.
@@ -581,7 +594,7 @@ func (q *Queue) LeaseWait(ctx context.Context, worker string, max int) *Lease {
 	for {
 		q.mu.Lock()
 		if l := q.leaseLocked(worker, max); l != nil {
-			q.mu.Unlock()
+			q.unlock()
 			return l
 		}
 		wake := q.wake
@@ -595,7 +608,7 @@ func (q *Queue) LeaseWait(ctx context.Context, worker string, max int) *Lease {
 		if !first.IsZero() {
 			expire = time.After(first.Sub(q.now()))
 		}
-		q.mu.Unlock()
+		q.unlock()
 		select {
 		case <-wake:
 		case <-expire:
@@ -671,7 +684,7 @@ func (q *Queue) leaseLocked(worker string, max int) *Lease {
 // may be dropped as duplicates.
 func (q *Queue) Heartbeat(id, worker string) bool {
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	defer q.unlock()
 	q.expireLocked()
 	q.workers[worker] = q.now()
 	l, ok := q.leases[id]
@@ -761,7 +774,7 @@ func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dro
 			}
 		}
 	}
-	q.mu.Unlock()
+	q.unlock()
 
 	// Fan out after dropping the queue lock: deliver takes ticket locks.
 	for _, d := range deliveries {
@@ -772,8 +785,15 @@ func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dro
 	return accepted, dropped
 }
 
+// abandonedCell is a cell failed for its expiries, awaiting delivery.
+type abandonedCell struct {
+	c   *cell
+	err error
+}
+
 // expireLocked reaps leases past their deadline, requeuing their
-// cells.
+// cells, or failing a cell whose MaxExpiries-th lease this was (unlock
+// delivers the failure).
 func (q *Queue) expireLocked() {
 	now := q.now()
 	requeued := false
@@ -783,12 +803,20 @@ func (q *Queue) expireLocked() {
 		}
 		delete(q.leases, id)
 		for _, c := range l.cells {
-			if c.state == cellLeased && c.leaseID == id && q.cells[c.key] == c {
-				c.leaseID = ""
-				q.insertPendingLocked(c)
-				q.requeued++
-				requeued = true
+			if c.state != cellLeased || c.leaseID != id || q.cells[c.key] != c {
+				continue
 			}
+			c.leaseID = ""
+			if c.expiries++; c.expiries >= MaxExpiries {
+				delete(q.cells, c.key)
+				q.failed++
+				q.abandoned = append(q.abandoned, abandonedCell{c, fmt.Errorf(
+					"fleet: cell %s abandoned after %d leases expired, the last held by worker %s", c.key[:12], c.expiries, l.worker)})
+				continue
+			}
+			q.insertPendingLocked(c)
+			q.requeued++
+			requeued = true
 		}
 	}
 	if requeued {
@@ -796,10 +824,24 @@ func (q *Queue) expireLocked() {
 	}
 }
 
+// unlock releases the queue lock, then fails the waiters of the cells
+// expireLocked abandoned: delivery takes ticket locks and runs progress
+// callbacks, which must not run under the queue lock.
+func (q *Queue) unlock() {
+	abandoned := q.abandoned
+	q.abandoned = nil
+	q.mu.Unlock()
+	for _, a := range abandoned {
+		for _, w := range a.c.waiters {
+			w.t.deliver(w.idx, nil, a.err)
+		}
+	}
+}
+
 // Stats snapshots the queue.
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
-	defer q.mu.Unlock()
+	defer q.unlock()
 	q.expireLocked()
 	s := Stats{
 		Pending:     len(q.pending),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -260,6 +261,63 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 		if set.Outcomes[i].Result == nil || set.Outcomes[i].Result.Checksum < 1100 {
 			t.Fatalf("outcome %d did not come from the live worker: %+v", i, set.Outcomes[i].Result)
 		}
+	}
+}
+
+// TestExpiryLimitFailsCell: a cell whose lease expires MaxExpiries
+// times fails, with an error naming the attempts and the last worker,
+// instead of being requeued again; nothing is persisted, and a later
+// submission of the cell starts afresh.
+func TestExpiryLimitFailsCell(t *testing.T) {
+	now := time.Unix(0, 0)
+	cache := &countingCache{}
+	q := New(Options{LeaseTTL: time.Second, Now: func() time.Time { return now }, Cache: cache})
+	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
+	reqs, specs = reqs[:1], specs[:1]
+
+	tk, err := q.Submit(reqs, specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= MaxExpiries; i++ {
+		if l := leaseNow(q, fmt.Sprintf("doomed-%d", i), 8); l == nil || len(l.Cells) != 1 {
+			t.Fatalf("attempt %d: lease %+v", i, l)
+		}
+		now = now.Add(1500 * time.Millisecond) // past the TTL
+		q.Stats()                              // reaps the lease
+	}
+	select {
+	case <-tk.Done():
+	default:
+		t.Fatalf("ticket unfinished after %d expiries", MaxExpiries)
+	}
+	set, _ := tk.ResultSet()
+	err = set.Outcomes[0].Err
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("after %d leases expired", MaxExpiries)) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("doomed-%d", MaxExpiries)) {
+		t.Fatalf("abandoned cell error = %v, want the attempt count and the last worker", err)
+	}
+	st := q.Stats()
+	if st.Pending != 0 || st.Leased != 0 || st.Failed != 1 || st.Requeued != MaxExpiries-1 {
+		t.Errorf("stats after abandonment: %+v", st)
+	}
+	if leaseNow(q, "live", 8) != nil {
+		t.Error("an abandoned cell was leased again")
+	}
+
+	tk, err = q.Submit(reqs, specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := completeAll(t, q, "live"); n != 1 {
+		t.Fatalf("resubmitted cell completed %d times", n)
+	}
+	<-tk.Done()
+	if set, _ := tk.ResultSet(); set.Err() != nil {
+		t.Errorf("resubmitted cell failed: %v", set.Err())
+	}
+	if cache.puts != 1 {
+		t.Errorf("store saw %d puts, want only the resubmitted cell's", cache.puts)
 	}
 }
 

@@ -17,6 +17,11 @@ type Cache struct {
 	setMask   int64
 	lines     []cacheLine
 	stamp     uint64
+	// filled lists the sets filled since the last Reset, which clears
+	// only those. A fill takes a set's first invalid way and nothing
+	// else invalidates a line, so a set is empty exactly while its way
+	// 0 is: the fill into way 0 is the set's first.
+	filled []int32
 
 	// Stats.
 	Hits, Misses     uint64
@@ -104,6 +109,9 @@ func (c *Cache) Fill(addr int64, ready float64, isPrefetch bool) {
 		}
 		if set[i].tag == -1 {
 			victim = i
+			if i == 0 {
+				c.filled = append(c.filled, int32(lineAddr&c.setMask))
+			}
 			goto place
 		}
 		if set[i].used < set[victim].used {
@@ -132,11 +140,18 @@ func (c *Cache) Contains(addr int64) bool {
 	return false
 }
 
-// Reset invalidates all lines and clears statistics.
+// Reset invalidates all lines and clears statistics. It rewrites only
+// the sets filled since the last Reset: a short run on a large cache
+// costs what it touched, not the cache's size.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{tag: -1}
+	assoc := int64(c.cfg.Assoc)
+	for _, s := range c.filled {
+		set := c.lines[int64(s)*assoc : int64(s+1)*assoc]
+		for i := range set {
+			set[i] = cacheLine{tag: -1}
+		}
 	}
+	c.filled = c.filled[:0]
 	c.stamp = 0
 	c.Hits, c.Misses = 0, 0
 	c.PrefetchFills, c.PrefetchedUnused, c.PrefetchedUsed = 0, 0, 0

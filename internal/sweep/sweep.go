@@ -7,9 +7,12 @@
 // Every run is an independent, deterministic simulation, so the result
 // set is bit-identical for any worker count; tests diff serial against
 // parallel executions to enforce this. Each worker owns a core.Context,
-// which keeps one reset-in-place simulator per machine configuration,
-// so workers recycle their cache/TLB/MSHR table storage across runs
-// instead of reallocating it.
+// which keeps one reset-in-place simulator per machine configuration
+// and memoizes the kernels it builds, so workers recycle their
+// cache/TLB/MSHR table storage and their prefetch-pass output across
+// runs instead of rebuilding them. Runner.Execute runs one request
+// list; Runner.Serve keeps its workers, and their contexts, across a
+// stream of batches (a fleet worker's leases).
 //
 // Cells requested with Exec = core.ExecReplay run through the
 // record/replay split (internal/trace): the engine factors them by
@@ -27,6 +30,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -146,10 +150,34 @@ type groupKey struct {
 	options      core.Options
 }
 
-// group is one replay group: the request indices (in request order)
-// sharing a functional key. The schedule's lock guards every field
-// but idxs.
+// Batch is one request list for a long-lived pool (Runner.Serve) and
+// the callback that receives its outcomes.
+type Batch struct {
+	Reqs []Request
+	// Done (required) receives the batch's result set, outcomes in
+	// request order, once every cell has one. It runs on the pool
+	// goroutine that completed the last cell (or that admitted a batch
+	// with nothing to simulate), which starts no cell until it returns.
+	Done func(*ResultSet)
+}
+
+// batch is an admitted Batch: its outcome slots and its misses. The
+// schedule's lock guards left.
+type batch struct {
+	seq      int // admission order, from 1
+	reqs     []Request
+	out      []Outcome
+	misses   []int // indices of the cells the cache did not answer
+	left     int   // cells without an outcome
+	done     func(*ResultSet)
+	progress func()
+}
+
+// group is one replay group of a batch: the request indices (in
+// request order) sharing a functional key. The schedule's lock guards
+// every field but b and idxs.
 type group struct {
+	b     *batch
 	idxs  []int
 	image *interp.Image // set while cells still need it
 	next  int           // idxs[next] is the next cell to hand out
@@ -173,48 +201,85 @@ type group struct {
 // fails all its cells with the recording error. The result set is
 // bit-identical for any worker count in both modes — and across
 // modes, which cmd/golden enforces byte-for-byte.
+//
+// Execute is the one-batch case of Serve: its pool lives for this one
+// call, each goroutine on a fresh core.Context that keeps every
+// simulator and kernel it builds until the call returns.
 func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
-	out := make([]Outcome, len(reqs))
-	m := r.metrics()
+	var set *ResultSet
+	s := newSchedule(nil)
+	b := r.admit(Batch{Reqs: reqs, Done: func(rs *ResultSet) { set = rs }}, 1)
+	s.push(b)
+	r.pool(s, Jobs(r.Jobs, len(b.misses)))
+	return set, set.Err()
+}
+
+// Serve is the long-lived form of Execute: a pool of Jobs goroutines
+// (<= 0 selects GOMAXPROCS) runs the batches next returns until next
+// returns false, then finishes every admitted batch and returns. Each
+// goroutine keeps its core.Context, so its simulators and kernels,
+// across batches, and trims it (core.Context.Trim) when it moves on to
+// a newer batch, never within one.
+//
+// A goroutine with nothing to start calls next while the others finish
+// their cells; at most one call is in flight, and it may block (a
+// fleet worker's long-polled lease). Batches therefore overlap: a
+// newer batch's cells start on whichever goroutines are free, and each
+// batch's Done fires when its own last cell completes. Within a batch
+// everything is as in Execute — cache hits served at admission, on
+// the goroutine that called next, replay groups spread over idle
+// goroutines, a panicking cell failing alone — and OnProgress counts
+// per batch.
+func (r Runner) Serve(next func() (Batch, bool)) {
+	seq := 0
+	r.pool(newSchedule(func() (*batch, bool) {
+		in, ok := next()
+		if !ok {
+			return nil, false
+		}
+		seq++
+		return r.admit(in, seq), true
+	}), Jobs(r.Jobs, math.MaxInt))
+}
+
+// admit builds the batch and serves its cache hits. Result keys ignore
+// Exec, so a warm direct store answers replay cells (and vice versa).
+// A batch with no miss is done here.
+func (r Runner) admit(in Batch, seq int) *batch {
+	b := &batch{seq: seq, reqs: in.Reqs, out: make([]Outcome, len(in.Reqs)), done: in.Done}
 	var done atomic.Int64
-	progress := func() {
+	b.progress = func() {
 		n := int(done.Add(1))
 		if r.OnProgress != nil {
-			r.OnProgress(n, len(reqs))
+			r.OnProgress(n, len(b.reqs))
 		}
 	}
-
-	// Serve cache hits up front; only the misses go to the pool.
-	// Result keys ignore Exec, so a warm direct store answers replay
-	// cells (and vice versa) — the modes produce identical results.
-	s := &schedule{}
-	s.wake.L = &s.mu
-	misses := 0
-	byKey := make(map[groupKey]*group)
-	for i, req := range reqs {
+	m := r.metrics()
+	for i, req := range b.reqs {
+		b.out[i].Request = req
 		if r.Cache != nil {
 			if res, ok := r.Cache.Get(req); ok {
-				out[i] = Outcome{Request: req, Result: res}
+				b.out[i].Result = res
 				m.CellsCache.Inc()
-				progress()
+				b.progress()
 				continue
 			}
 		}
-		misses++
-		if req.ExecMode() != core.ExecReplay {
-			s.direct = append(s.direct, i)
-			continue
-		}
-		k := groupKey{req.Workload.Name, req.Workload.Params, req.Variant, req.Options}
-		g := byKey[k]
-		if g == nil {
-			g = &group{}
-			byKey[k] = g
-			s.groups = append(s.groups, g)
-		}
-		g.idxs = append(g.idxs, i)
-		g.left++
+		b.misses = append(b.misses, i)
 	}
+	if b.left = len(b.misses); b.left == 0 {
+		b.finish()
+	}
+	return b
+}
+
+// finish hands the batch's outcomes to its Done.
+func (b *batch) finish() { b.done(&ResultSet{Outcomes: b.out}) }
+
+// pool runs the schedule's tasks on jobs goroutines until it is
+// drained.
+func (r Runner) pool(s *schedule, jobs int) {
+	m := r.metrics()
 	tc, _ := r.Cache.(TraceCache)
 
 	// open obtains a group's trace and, if any cell still needs it,
@@ -222,7 +287,8 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 	// cells the opening completed: the recorded one, or all of them
 	// on failure.
 	open := func(w *worker, g *group) (*interp.Image, int) {
-		req := reqs[g.idxs[0]]
+		b := g.b
+		req := b.reqs[g.idxs[0]]
 		if tc != nil {
 			if t, ok := tc.GetTrace(req); ok {
 				if im, err := interp.NewImage(t); err == nil {
@@ -246,8 +312,8 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 		m.RecordSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
 			for _, i := range g.idxs {
-				out[i] = Outcome{Request: reqs[i], Err: err}
-				progress()
+				b.out[i].Err = err
+				b.progress()
 			}
 			return nil, len(g.idxs)
 		}
@@ -255,7 +321,7 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 		// the group's first cell for free (with Pass nil, like every
 		// replay- or store-served result).
 		res.Pass = nil
-		out[g.idxs[0]] = Outcome{Request: req, Result: res}
+		b.out[g.idxs[0]].Result = res
 		m.CellsRecorded.Inc()
 		r.put(req, res, nil)
 		if tc != nil {
@@ -263,23 +329,27 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 				r.OnPutError(req, perr)
 			}
 		}
-		progress()
+		b.progress()
 		return im, 1
 	}
 
 	var wg sync.WaitGroup
-	for k := Jobs(r.Jobs, misses); k > 0; k-- {
+	for k := jobs; k > 0; k-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &worker{core.NewContext()}
+			w := &worker{cx: core.NewContext()}
 			for t, ok := s.take(); ok; t, ok = s.take() {
+				if t.b.seq > w.seq {
+					w.seq = t.b.seq
+					w.cx.Trim()
+				}
 				if t.open {
 					im, n := open(w, t.g)
 					s.opened(t.g, im, n)
 					continue
 				}
-				req := reqs[t.cell]
+				req := t.b.reqs[t.cell]
 				start := time.Now()
 				var res *core.Result
 				err := w.do(req, func(cx *core.Context) (err error) {
@@ -298,23 +368,22 @@ func (r Runner) Execute(reqs []Request) (*ResultSet, error) {
 					m.ReplaySeconds.Observe(time.Since(start).Seconds())
 					m.CellsReplayed.Inc()
 				}
-				out[t.cell] = Outcome{Request: req, Result: res, Err: err}
+				t.b.out[t.cell].Result, t.b.out[t.cell].Err = res, err
 				r.put(req, res, err)
-				progress()
-				if t.g != nil {
-					s.completed(t.g, 1)
-				}
+				t.b.progress()
+				s.completed(t, 1)
 			}
 		}()
 	}
 	wg.Wait()
-
-	set := &ResultSet{Outcomes: out}
-	return set, set.Err()
 }
 
-// worker is one pool goroutine's simulator context.
-type worker struct{ cx *core.Context }
+// worker is one pool goroutine's simulator context and the newest
+// batch it has taken a task from.
+type worker struct {
+	cx  *core.Context
+	seq int
+}
 
 // do runs one simulator call for req, turning a panic into an error
 // that carries the panic value: a cell whose machine configuration the
@@ -330,59 +399,114 @@ func (w *worker) do(req Request, f func(*core.Context) error) (err error) {
 	return f(w.cx)
 }
 
-// schedule hands a sweep's misses to the worker pool: direct cells
-// first, then replay cells of open groups, oldest group first, and
-// only when no replay cell is ready, the next group to open. A group
-// is open from when a worker takes it to fetch or record its trace
-// until its last cell completes, which drops its image. Because a
-// worker opens a group only when every open group's cells are handed
-// out, each open group holds a busy worker of its own: at most as many
-// groups as workers are open, and so at most that many images alive.
+// schedule hands the misses of admitted batches to the worker pool:
+// direct cells first, oldest batch first, then replay cells of open
+// groups, oldest group first, and only when no replay cell is ready,
+// the next group to open. A group is open from when a worker takes it
+// to fetch or record its trace until its last cell completes, which
+// drops its image. Because a worker opens a group only when every open
+// group's cells are handed out, each open group holds a busy worker of
+// its own: at most as many groups as workers are open, and so at most
+// that many images alive. With nothing to hand out, one worker at a
+// time asks next for another batch.
 type schedule struct {
-	mu     sync.Mutex
-	wake   sync.Cond // broadcast when a group becomes ready or a cell completes
-	direct []int     // direct cells not yet taken
-	groups []*group  // replay groups not yet opened, in request order
-	open   []*group  // open groups, in opening order
+	mu       sync.Mutex
+	wake     sync.Cond             // broadcast when tasks may have appeared or the pool may be drained
+	next     func() (*batch, bool) // the admitted-batch source; nil once exhausted
+	fetching bool                  // a worker is in next
+	direct   []task                // direct cells not yet taken
+	groups   []*group              // replay groups not yet opened, in admission and request order
+	open     []*group              // open groups, in opening order
 }
 
-// task is one unit of work: direct cell (g nil), opening group g, or
-// replay cell of g from image.
+func newSchedule(next func() (*batch, bool)) *schedule {
+	s := &schedule{next: next}
+	s.wake.L = &s.mu
+	return s
+}
+
+// task is one unit of work of batch b: direct cell (g nil), opening
+// group g, or replay cell of g from image.
 type task struct {
+	b     *batch
 	cell  int
 	g     *group
 	open  bool
 	image *interp.Image
 }
 
+// push queues an admitted batch's misses: direct cells, and replay
+// cells grouped by their functional key.
+func (s *schedule) push(b *batch) {
+	byKey := make(map[groupKey]*group)
+	for _, i := range b.misses {
+		req := b.reqs[i]
+		if req.ExecMode() != core.ExecReplay {
+			s.direct = append(s.direct, task{b: b, cell: i})
+			continue
+		}
+		k := groupKey{req.Workload.Name, req.Workload.Params, req.Variant, req.Options}
+		g := byKey[k]
+		if g == nil {
+			g = &group{b: b}
+			byKey[k] = g
+			s.groups = append(s.groups, g)
+		}
+		g.idxs = append(g.idxs, i)
+		g.left++
+	}
+}
+
 // take blocks until a task is available and returns it, or returns
-// false once every cell has been handed out and every group closed.
+// false once every admitted cell has been handed out, every group
+// closed and the batch source exhausted. With nothing to hand out and
+// no fetch in flight, the caller fetches the next batch itself.
 func (s *schedule) take() (task, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if len(s.direct) > 0 {
-			i := s.direct[0]
+			t := s.direct[0]
 			s.direct = s.direct[1:]
-			return task{cell: i}, true
+			return t, true
 		}
 		for _, g := range s.open {
 			if g.image != nil && g.next < len(g.idxs) {
 				g.next++
-				return task{cell: g.idxs[g.next-1], g: g, image: g.image}, true
+				return task{b: g.b, cell: g.idxs[g.next-1], g: g, image: g.image}, true
 			}
 		}
 		if len(s.groups) > 0 {
 			g := s.groups[0]
 			s.groups = s.groups[1:]
 			s.open = append(s.open, g)
-			return task{g: g, open: true}, true
+			return task{b: g.b, g: g, open: true}, true
 		}
-		if len(s.open) == 0 {
+		switch {
+		case s.next != nil && !s.fetching:
+			s.fetch()
+		case s.next == nil && !s.fetching && len(s.open) == 0:
 			return task{}, false
+		default:
+			s.wake.Wait()
 		}
-		s.wake.Wait()
 	}
+}
+
+// fetch takes the next batch from the source, outside the lock, and
+// queues its misses. The caller holds s.mu.
+func (s *schedule) fetch() {
+	s.fetching = true
+	s.mu.Unlock()
+	b, ok := s.next()
+	s.mu.Lock()
+	s.fetching = false
+	if ok {
+		s.push(b)
+	} else {
+		s.next = nil
+	}
+	s.wake.Broadcast()
 }
 
 // opened publishes an opened group's image, if it has one, and
@@ -392,19 +516,27 @@ func (s *schedule) opened(g *group, im *interp.Image, n int) {
 	s.mu.Lock()
 	g.image, g.next = im, n
 	s.mu.Unlock()
-	s.completed(g, n)
+	s.completed(task{b: g.b, g: g}, n)
 }
 
-// completed accounts for n completed cells of g, closing the group
-// after its last.
-func (s *schedule) completed(g *group, n int) {
+// completed accounts for n completed cells of t's batch and group,
+// closing the group after its last cell and finishing the batch after
+// its last.
+func (s *schedule) completed(t task, n int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g.left -= n; g.left == 0 {
-		g.image = nil
-		s.open = slices.DeleteFunc(s.open, func(o *group) bool { return o == g })
+	if g := t.g; g != nil {
+		if g.left -= n; g.left == 0 {
+			g.image = nil
+			s.open = slices.DeleteFunc(s.open, func(o *group) bool { return o == g })
+		}
 	}
+	t.b.left -= n
+	last := t.b.left == 0
 	s.wake.Broadcast()
+	s.mu.Unlock()
+	if last {
+		t.b.finish()
+	}
 }
 
 // put persists a successful result, reporting failures to OnPutError.
