@@ -201,12 +201,12 @@ func cmdSubmit(argv []string, stdout, stderr io.Writer) error {
 
 		workloads = fs.String("workloads", "", "comma-separated workload names (empty = all)")
 		systems   = fs.String("systems", "", "comma-separated machine names (empty = all)")
-		variants  = fs.String("variants", "", "comma-separated variants (empty = all)")
+		variants  = fs.String("variants", "", "comma-separated variants among plain,auto,manual,icc,indirect-only (empty = plain,auto)")
 		hwpfAxis  = fs.String("hwpf", "", "comma-separated hardware-prefetcher models (empty = default)")
 		coreAxis  = fs.String("core", "", "comma-separated core models among default,interval,ooo,inorder (empty = default)")
 		exec      = fs.String("exec", "", "comma-separated execution modes among direct,replay (empty = direct)")
-		c         = fs.Int64("c", 0, "prefetch look-ahead constant (0 = per-variant default)")
-		depth     = fs.Int("depth", 0, "indirect prefetch depth (0 = default)")
+		c         = fs.Int64("c", 0, "look-ahead constant (0 = the paper's 64)")
+		depth     = fs.Int("depth", 0, "stagger depth limit (0 = unlimited)")
 		hoist     = fs.Bool("hoist", false, "hoist loop-invariant prefetch address parts")
 		quality   = fs.String("quality", "", "workload pool: full, quick, tiny, gen (empty = full)")
 		priority  = fs.Int("priority", 0, "queue priority (higher leases first)")
@@ -324,9 +324,9 @@ func cmdTune(argv []string, stdout, stderr io.Writer) error {
 		hwpfAxis  = fs.String("hwpf", "", "comma-separated hardware-prefetcher models to search (empty = default)")
 		strategy  = fs.String("strategy", "", "search strategy: exhaustive or hillclimb (empty = exhaustive)")
 		cs        = fs.String("cs", "", "comma-separated look-ahead ladder (empty = default ladder)")
-		depths    = fs.String("depths", "", "comma-separated indirect depths to search (empty = 0)")
+		depths    = fs.String("depths", "", "comma-separated stagger-depth search ladder, 0 = unlimited (empty = 0)")
 		hoists    = fs.String("hoists", "", "comma-separated hoist settings among false,true (empty = false)")
-		quality   = fs.String("quality", "", "workload pool: full, quick, tiny (empty = full)")
+		quality   = fs.String("quality", "", "workload pool: full, quick, tiny, gen (empty = full)")
 		priority  = fs.Int("priority", 0, "queue priority (higher leases first)")
 		wait      = fs.Bool("wait", false, "follow the search's progress, then fetch the report")
 		format    = fs.String("format", "json", "report format with -wait: json or csv")

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +14,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
 
 // fakeCoordinator is a stub swpfd implementing the endpoints the
@@ -277,6 +282,52 @@ func TestBadCommands(t *testing.T) {
 	} {
 		if err := run(argv, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%q) accepted", argv)
+		}
+	}
+}
+
+// flagHelp runs `swpfctl VERB -h` and returns each flag's usage text.
+func flagHelp(t *testing.T, verb string) map[string]string {
+	t.Helper()
+	var errb bytes.Buffer
+	if err := run([]string{verb, "-h"}, &bytes.Buffer{}, &errb); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("%s -h = %v", verb, err)
+	}
+	help := make(map[string]string)
+	var name string
+	for _, line := range strings.Split(errb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ = strings.Cut(rest, " ")
+		} else if name != "" {
+			help[name] += strings.TrimSpace(line)
+		}
+	}
+	return help
+}
+
+// TestSpecFlagHelp: the spec flags' help says what the spec does with
+// each value: an empty -variants selects the variant axis's default,
+// -c 0 is the paper's 64, -depth and -depths are stagger-depth limits
+// where 0 is unlimited, and -quality names every workload pool.
+func TestSpecFlagHelp(t *testing.T) {
+	submit, tune := flagHelp(t, "submit"), flagHelp(t, "tune")
+	var def []string
+	for _, v := range sweep.VariantAxis().Default {
+		def = append(def, string(v))
+	}
+	checks := []struct{ flag, help, want string }{
+		{"submit -variants", submit["variants"], "(empty = " + strings.Join(def, ",") + ")"},
+		{"submit -c", submit["c"], "(0 = the paper's 64)"},
+		{"submit -depth", submit["depth"], "stagger depth limit (0 = unlimited)"},
+		{"tune -depths", tune["depths"], "stagger-depth"},
+		{"tune -depths", tune["depths"], "0 = unlimited"},
+	}
+	for _, q := range workloads.Qualities() {
+		checks = append(checks, struct{ flag, help, want string }{"tune -quality", tune["quality"], q})
+	}
+	for _, c := range checks {
+		if !strings.Contains(c.help, c.want) {
+			t.Errorf("%s help %q does not say %q", c.flag, c.help, c.want)
 		}
 	}
 }

@@ -1,10 +1,15 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/fleet"
+)
 
 // FuzzSweepSpec feeds arbitrary bytes to POST /sweep's decoding and
-// validation, the cell bound included: no body may panic, and a body
-// that is accepted never expands to more cells than the bound.
+// validation, the cell bound included: no body may panic, a body that
+// is accepted never expands to more cells than the bound, and each of
+// its cells has a wire form.
 func FuzzSweepSpec(f *testing.F) {
 	for _, seed := range []string{
 		tinySpec,
@@ -27,8 +32,8 @@ func FuzzSweepSpec(f *testing.F) {
 		}
 		cells := 0
 		for _, sub := range subs {
-			if len(sub.wire) != len(sub.reqs) {
-				t.Fatalf("%d wire specs for %d requests", len(sub.wire), len(sub.reqs))
+			for _, req := range sub.reqs {
+				fleet.SpecFor(sub.spec.QualityName(), req) // the wire form the queue builds
 			}
 			cells += len(sub.reqs)
 		}

@@ -199,11 +199,10 @@ const (
 const maxJobs = 256
 
 // job is one submitted sweep or tune search and its dynamic state:
-// progress counts, terminal state, report and SSE subscribers. A sweep
-// job fills the state from its fleet ticket's progress callback and
-// track; a tune job fills it from the tuner (runTune). Every route
-// reads only this state, and its pings are the only fan-out to SSE
-// clients.
+// progress counts, terminal state and report. A sweep job fills the
+// state from its fleet submission's callbacks; a tune job from
+// tuneRunner and runTune. Every route reads it through snapshot, and
+// closing changed is the only fan-out to SSE clients.
 type job struct {
 	id       string
 	spec     SweepSpec
@@ -211,11 +210,13 @@ type job struct {
 
 	mu     sync.Mutex
 	done   int // monotonic; evaluations, not cells, for tune jobs
-	total  int // monotonic; hillclimb's total grows as it walks
+	total  int // monotonic; a tune job's total grows batch by batch
 	state  string
 	errMsg string
 	report report // set once state is stateDone
-	subs   map[chan struct{}]bool
+	// changed is closed and replaced on every change of the fields
+	// above, waking every GET /jobs/{id}/events reader at once.
+	changed chan struct{}
 }
 
 // report is what a finished job serves on /results: a sweep's
@@ -225,20 +226,15 @@ type report interface {
 	WriteCSV(io.Writer) error
 }
 
-// notifyLocked pings every subscriber without blocking; a full ping
-// channel means a notification is already pending, which coalesces.
-func (j *job) notifyLocked() {
-	for ch := range j.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
+// wakeLocked wakes every reader waiting on the job: it closes their
+// channel and starts the next one, the fleet queue's wake idiom.
+func (j *job) wakeLocked() {
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
-// setProgress advances the counters monotonically, notifying only on
-// a change: a tune job's batch totals and intra-batch completions
-// arrive interleaved.
+// setProgress advances the counters monotonically, waking readers
+// only on a change: completions arrive concurrently and out of order.
 func (j *job) setProgress(done, total int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -246,7 +242,7 @@ func (j *job) setProgress(done, total int) {
 		return
 	}
 	j.done, j.total = max(j.done, done), max(j.total, total)
-	j.notifyLocked()
+	j.wakeLocked()
 }
 
 // finish makes the job terminal: done with rep, or failed with err.
@@ -260,59 +256,7 @@ func (j *job) finish(rep report, err error) {
 		j.state = stateDone
 		j.report = rep
 	}
-	j.notifyLocked()
-}
-
-// track finishes a sweep job with its ticket; progress arrives through
-// the ticket's callback (setProgress). A ticket that is already
-// finished — every cell answered by the store at submission — finishes
-// the job before POST /sweep replies, so its results are servable at
-// once; any other ticket is awaited by a goroutine.
-func (j *job) track(t *fleet.Ticket) {
-	if !j.finishFrom(t) {
-		go func() {
-			<-t.Done()
-			j.finishFrom(t)
-		}()
-	}
-}
-
-// finishFrom finishes the job from a finished ticket and reports
-// whether the ticket was finished.
-func (j *job) finishFrom(t *fleet.Ticket) bool {
-	set, ok := t.ResultSet()
-	if ok {
-		j.finish(set, set.Err())
-	}
-	return ok
-}
-
-// event returns the job's SSE event and whether it is terminal.
-func (j *job) event() (Event, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return Event{Done: j.done, Total: j.total, State: j.state}, j.state != stateRunning
-}
-
-// terminal reports whether the job has finished (either way).
-func (j *job) terminal() bool {
-	_, t := j.event()
-	return t
-}
-
-// subscribe registers a ping channel, pre-loaded so a late subscriber
-// immediately sees the current (possibly terminal) state.
-func (j *job) subscribe() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
-	ch <- struct{}{}
-	j.mu.Lock()
-	j.subs[ch] = true
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
-	}
+	j.wakeLocked()
 }
 
 // JobStatus is the wire form of a job, served by GET /jobs{,/{id}}.
@@ -329,7 +273,9 @@ type JobStatus struct {
 	Error string    `json:"error,omitempty"`
 }
 
-func (j *job) status() JobStatus {
+// snapshot reads the job under one lock: its status, its report (nil
+// until done) and the channel its next change closes.
+func (j *job) snapshot() (JobStatus, report, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return JobStatus{
@@ -340,7 +286,7 @@ func (j *job) status() JobStatus {
 		Total: j.total,
 		Done:  j.done,
 		Error: j.errMsg,
-	}
+	}, j.report, j.changed
 }
 
 // config wires a server; the zero value of every field selects a sane
@@ -536,7 +482,7 @@ type Meta struct {
 // memoizes that pool, which generates workload input data — a one-off
 // cost per quality per process).
 func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	qualities := []string{"full", "quick", "tiny", "gen"}
+	qualities := workloads.Qualities()
 	if q := r.URL.Query().Get("quality"); q != "" {
 		if _, err := workloads.PoolByQuality(q); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -545,7 +491,7 @@ func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		qualities = []string{q}
 	}
 	m := Meta{
-		Qualities: []string{"full", "quick", "tiny", "gen"},
+		Qualities: workloads.Qualities(),
 		Workloads: make(map[string][]MetaWorkload),
 		Variants:  make([]string, 0, len(sweep.Variants())),
 	}
@@ -594,12 +540,12 @@ func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m)
 }
 
+// writeJSON sends v as one compact JSON line. GET /results keeps its
+// own emitters (the report's WriteJSON), whose bytes are pinned.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -631,8 +577,11 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	replies := make([]SubmitReply, 0, len(subs))
 	for _, sub := range subs {
+		// A submission the store answers entirely finishes the job inside
+		// Submit, so its results are servable when this handler replies.
 		j := newJob(sub.spec, nil, len(sub.reqs))
-		ticket, err := s.queue.Submit(sub.reqs, sub.wire, sub.spec.Priority, j.setProgress)
+		err := s.queue.Submit(sub.reqs, sub.spec.QualityName(), sub.spec.Priority, j.setProgress,
+			func(set *sweep.ResultSet) { j.finish(set, set.Err()) })
 		var full fleet.ErrQueueFull
 		if errors.As(err, &full) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(full.RetryAfter.Seconds()+0.5)))
@@ -647,7 +596,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.add(j)
-		j.track(ticket)
 		replies = append(replies, SubmitReply{ID: j.id, Cells: len(sub.reqs)})
 	}
 	if batch {
@@ -661,7 +609,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 type submission struct {
 	spec SweepSpec
 	reqs []sweep.Request
-	wire []fleet.CellSpec
 }
 
 // prepareSweep decodes a POST /sweep body and expands its specs. Every
@@ -687,15 +634,7 @@ func prepareSweep(body []byte, limit int) (subs []submission, batch bool, err er
 		total += n
 	}
 	for i, spec := range specs {
-		sub := submission{spec: spec, reqs: grids[i].Expand()}
-		for _, req := range sub.reqs {
-			sp, err := fleet.SpecFor(spec.QualityName(), req)
-			if err != nil {
-				return nil, batch, err
-			}
-			sub.wire = append(sub.wire, sp)
-		}
-		subs = append(subs, sub)
+		subs = append(subs, submission{spec: spec, reqs: grids[i].Expand()})
 	}
 	return subs, batch, nil
 }
@@ -729,7 +668,7 @@ func decodeSpecs(body []byte) (specs []SweepSpec, batch bool, err error) {
 
 // newJob builds a running job, not yet registered.
 func newJob(spec SweepSpec, tsp *TuneSpec, total int) *job {
-	return &job{spec: spec, tuneSpec: tsp, total: total, state: stateRunning, subs: make(map[chan struct{}]bool)}
+	return &job{spec: spec, tuneSpec: tsp, total: total, state: stateRunning, changed: make(chan struct{})}
 }
 
 // add registers a job under the next id.
@@ -743,19 +682,11 @@ func (s *server) add(j *job) {
 	s.evictLocked()
 }
 
-// addJob registers a new running job under the next id.
-func (s *server) addJob(spec SweepSpec, tsp *TuneSpec, total int) *job {
-	j := newJob(spec, tsp, total)
-	s.add(j)
-	return j
-}
-
 // evictLocked drops the oldest terminal jobs (result sets included)
 // while the table exceeds maxJobs; the caller holds s.mu.
 func (s *server) evictLocked() {
 	for i := 0; len(s.byID) > maxJobs && i < len(s.ids); {
-		j := s.byID[s.ids[i]]
-		if !j.terminal() {
+		if st, _, _ := s.byID[s.ids[i]].snapshot(); st.State == stateRunning {
 			i++
 			continue
 		}
@@ -779,7 +710,7 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	out := make([]JobStatus, len(list))
 	for i, j := range list {
-		out[i] = j.status()
+		out[i], _, _ = j.snapshot()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -790,7 +721,8 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	st, _, _ := j.snapshot()
+	writeJSON(w, http.StatusOK, st)
 }
 
 // Event is one GET /jobs/{id}/events payload: a progress snapshot;
@@ -803,10 +735,10 @@ type Event struct {
 }
 
 // handleEvents streams a job's progress as Server-Sent Events: one
-// `data:` line per notification (counts are monotonic, intermediate
-// events may be coalesced), ending with the terminal done/failed
-// event. A subscriber joining a finished job gets exactly the terminal
-// event.
+// `data:` line per change the reader sees (counts are monotonic,
+// changes made while a line is written coalesce into the next),
+// ending with the terminal done/failed event. A reader joining a
+// finished job gets exactly the terminal event.
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -818,32 +750,30 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	ch, cancel := j.subscribe()
-	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	enc := json.NewEncoder(w)
 	for {
+		st, _, changed := j.snapshot()
+		if _, err := io.WriteString(w, "data: "); err != nil {
+			return
+		}
+		if err := enc.Encode(Event{Done: st.Done, Total: st.Total, State: st.State}); err != nil { // Encode appends the \n
+			return
+		}
+		if _, err := io.WriteString(w, "\n"); err != nil {
+			return
+		}
+		fl.Flush()
+		if st.State != stateRunning {
+			return
+		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-ch:
-			ev, terminal := j.event()
-			if _, err := io.WriteString(w, "data: "); err != nil {
-				return
-			}
-			if err := enc.Encode(ev); err != nil { // Encode appends the \n
-				return
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return
-			}
-			fl.Flush()
-			if terminal {
-				return
-			}
+		case <-changed:
 		}
 	}
 }
@@ -858,15 +788,13 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	j.mu.Lock()
-	state, done, total, errMsg, rep := j.state, j.done, j.total, j.errMsg, j.report
-	j.mu.Unlock()
-	switch state {
+	st, rep, _ := j.snapshot()
+	switch st.State {
 	case stateRunning:
-		writeError(w, http.StatusConflict, "job %s not finished (%d/%d cells)", id, done, total)
+		writeError(w, http.StatusConflict, "job %s not finished (%d/%d cells)", id, st.Done, st.Total)
 		return
 	case stateFailed:
-		writeError(w, http.StatusInternalServerError, "job %s failed: %s", id, errMsg)
+		writeError(w, http.StatusInternalServerError, "job %s failed: %s", id, st.Error)
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {

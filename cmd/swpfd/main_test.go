@@ -187,16 +187,16 @@ func TestWarmSweepFinishedAtReply(t *testing.T) {
 	}
 
 	// An HTTP round trip gives a goroutine time to win that race, so pin
-	// the ordering itself: tracking a ticket that is already finished
-	// returns with the job terminal.
-	ticket, err := fleet.New(fleet.Options{}).Submit(nil, nil, 0)
+	// the ordering itself: an all-hit submission finishes the job before
+	// Submit returns.
+	j := newJob(SweepSpec{}, nil, 0)
+	err = fleet.New(fleet.Options{}).Submit(nil, "tiny", 0, j.setProgress,
+		func(set *sweep.ResultSet) { j.finish(set, set.Err()) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := (&server{byID: make(map[string]*job)}).addJob(SweepSpec{}, nil, 0)
-	j.track(ticket)
-	if !j.terminal() {
-		t.Fatal("job still running after tracking a finished ticket")
+	if st, _, _ := j.snapshot(); st.State == stateRunning {
+		t.Fatal("job still running after an all-hit Submit returned")
 	}
 }
 

@@ -53,16 +53,16 @@ func (s *server) handleTune(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "the search's largest evaluation batch has more cells than the queue's bound of %d live cells", limit)
 		return
 	}
-	j := s.addJob(tsp.Spec, &tsp, 0)
+	j := newJob(tsp.Spec, &tsp, 0)
+	s.add(j)
 	go s.runTune(j, tsp)
 	writeJSON(w, http.StatusAccepted, TuneReply{ID: j.id})
 }
 
 func (s *server) runTune(j *job, tsp TuneSpec) {
 	tuner := tune.Tuner{
-		Runner:     tuneRunner{s: s, quality: tsp.QualityName(), priority: tsp.Priority, j: j},
-		OnProgress: j.setProgress,
-		Metrics:    s.tuneM,
+		Runner:  tuneRunner{s: s, quality: tsp.QualityName(), priority: tsp.Priority, j: j},
+		Metrics: s.tuneM,
 	}
 	rep, err := tuner.Run(tsp)
 	j.finish(rep, err)
@@ -71,8 +71,8 @@ func (s *server) runTune(j *job, tsp TuneSpec) {
 // tuneRunner is the daemon's tune.Runner: every evaluation batch is
 // submitted to the fleet queue like a sweep, so cells dedupe against
 // running jobs, persist in the store, and execute on local and remote
-// workers alike. Intra-batch completion is forwarded to the job's
-// progress counters.
+// workers alike. It is the job's one progress feed: each batch adds
+// its size to the job's total, and each of its completions to done.
 type tuneRunner struct {
 	s        *server
 	quality  string
@@ -81,18 +81,13 @@ type tuneRunner struct {
 }
 
 func (tr tuneRunner) Execute(reqs []sweep.Request) (*sweep.ResultSet, error) {
-	wire := make([]fleet.CellSpec, len(reqs))
-	var err error
-	for i, req := range reqs {
-		if wire[i], err = fleet.SpecFor(tr.quality, req); err != nil {
-			return nil, err
-		}
-	}
-	before, _ := tr.j.event()
-	progress := func(done, _ int) { tr.j.setProgress(before.Done+done, 0) }
-	var ticket *fleet.Ticket
+	before, _, _ := tr.j.snapshot()
+	total := before.Total + len(reqs)
+	tr.j.setProgress(before.Done, total)
+	progress := func(done, _ int) { tr.j.setProgress(before.Done+done, total) }
+	sets := make(chan *sweep.ResultSet, 1)
 	for attempt := 0; ; attempt++ {
-		ticket, err = tr.s.queue.Submit(reqs, wire, tr.priority, progress)
+		err := tr.s.queue.Submit(reqs, tr.quality, tr.priority, progress, func(set *sweep.ResultSet) { sets <- set })
 		var full fleet.ErrQueueFull
 		if errors.As(err, &full) && attempt < 20 {
 			// Back off and retry: tune batches arrive over the job's
@@ -108,7 +103,6 @@ func (tr tuneRunner) Execute(reqs []sweep.Request) (*sweep.ResultSet, error) {
 		}
 		break
 	}
-	<-ticket.Done()
-	set, _ := ticket.ResultSet()
+	set := <-sets
 	return set, set.Err()
 }

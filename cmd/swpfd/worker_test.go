@@ -64,10 +64,7 @@ func totalAlloc() uint64 {
 func TestWorkerReusesSimulatorsAcrossLeases(t *testing.T) {
 	is := workloads.Tiny()[0]
 	lease := func(id string, cfg *sim.Config) *fleet.Lease {
-		spec, err := fleet.SpecFor("tiny", sweep.Request{Workload: is, System: cfg, Variant: core.VariantPlain})
-		if err != nil {
-			t.Fatal(err)
-		}
+		spec := fleet.SpecFor("tiny", sweep.Request{Workload: is, System: cfg, Variant: core.VariantPlain})
 		return &fleet.Lease{ID: id, TTLMS: 60_000, Cells: []fleet.LeaseCell{{Key: id + "-cell", Spec: spec}}}
 	}
 	leases := []*fleet.Lease{lease("warm", uarch.A53()), lease("first", uarch.Haswell())}

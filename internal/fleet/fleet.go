@@ -104,10 +104,11 @@ type CellSpec struct {
 // SpecFor builds the wire form of a request. quality names the
 // workload pool the submitting spec drew from, so workers resolve the
 // same workload by name.
-func SpecFor(quality string, r sweep.Request) (CellSpec, error) {
+func SpecFor(quality string, r sweep.Request) CellSpec {
 	sys, err := json.Marshal(r.System)
 	if err != nil {
-		return CellSpec{}, fmt.Errorf("fleet: marshal system: %w", err)
+		// A configuration is plain data, and KeyOf marshals it first.
+		panic(fmt.Sprintf("fleet: marshal system: %v", err))
 	}
 	return CellSpec{
 		Quality:  quality,
@@ -117,7 +118,7 @@ func SpecFor(quality string, r sweep.Request) (CellSpec, error) {
 		Variant:  string(r.Variant),
 		Options:  r.Options,
 		Exec:     string(r.Exec),
-	}, nil
+	}
 }
 
 // Request reconstructs the executable request from the wire form. The
@@ -207,45 +208,30 @@ func (e ErrQueueFull) Error() string {
 		e.Live, e.New, e.Limit, e.RetryAfter)
 }
 
-// Ticket tracks one submission through the queue: its per-request
-// outcome slots and its progress callbacks.
-type Ticket struct {
-	onProgress []func(done, total int)
+// submission is one Submit call: its outcome slots and its callbacks.
+type submission struct {
+	onProgress func(done, total int)
+	onDone     func(*sweep.ResultSet)
 
 	mu   sync.Mutex
 	outs []sweep.Outcome
 	done int
-
-	doneCh chan struct{}
 }
 
-// Done is closed when every cell of the submission has an outcome.
-func (t *Ticket) Done() <-chan struct{} { return t.doneCh }
-
-// ResultSet returns the outcomes once the ticket is finished; ok is
-// false while cells are still outstanding.
-func (t *Ticket) ResultSet() (*sweep.ResultSet, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done < len(t.outs) {
-		return nil, false
+// deliver fills one outcome slot, reports progress, and after the last
+// slot hands the set to onDone.
+func (s *submission) deliver(idx int, res *core.Result, err error) {
+	s.mu.Lock()
+	s.outs[idx].Result = res
+	s.outs[idx].Err = err
+	s.done++
+	done := s.done
+	s.mu.Unlock()
+	if s.onProgress != nil {
+		s.onProgress(done, len(s.outs))
 	}
-	return &sweep.ResultSet{Outcomes: t.outs}, true
-}
-
-// deliver fills one outcome slot and reports progress.
-func (t *Ticket) deliver(idx int, res *core.Result, err error) {
-	t.mu.Lock()
-	t.outs[idx].Result = res
-	t.outs[idx].Err = err
-	t.done++
-	done := t.done
-	t.mu.Unlock()
-	for _, f := range t.onProgress {
-		f(done, len(t.outs))
-	}
-	if done == len(t.outs) {
-		close(t.doneCh)
+	if done == len(s.outs) && s.onDone != nil {
+		s.onDone(&sweep.ResultSet{Outcomes: s.outs})
 	}
 }
 
@@ -268,7 +254,7 @@ type replayGroup struct {
 
 // waiter is one submission slot waiting on a cell.
 type waiter struct {
-	t   *Ticket
+	s   *submission
 	idx int
 }
 
@@ -453,26 +439,27 @@ func (q *Queue) collect(emit func(obs.Sample)) {
 // MaxPending returns the queue's live-cell bound.
 func (q *Queue) MaxPending() int { return q.maxPending }
 
-// Submit enqueues a request list at the given priority. specs must
-// parallel reqs (SpecFor per request). Cache hits are answered
-// immediately, duplicates of live cells attach as waiters, and only
-// genuinely new cells enter the queue — atomically: if they would
-// exceed the live-cell bound, ErrQueueFull is returned and nothing is
-// enqueued.
+// Submit enqueues a request list at the given priority. quality names
+// the workload pool the requests were drawn from; the cells it enqueues
+// carry it in their wire specs (SpecFor), which are built only for
+// them. Cache hits are answered immediately, duplicates of live cells
+// attach as waiters, and only genuinely new cells enter the queue —
+// atomically: if they would exceed the live-cell bound, ErrQueueFull
+// is returned, nothing is enqueued and no callback runs.
 //
-// Each onProgress callback is invoked after each outcome the
+// onProgress, when non-nil, is called after each outcome the
 // submission receives with the running completion count and the
 // submission's total, like sweep.Runner.OnProgress: for cache hits
 // before Submit returns, for the rest from the Complete calls that
-// deliver them, concurrently and possibly out of order. The last call
-// (done == total) returns before the ticket's Done channel closes.
-func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int, onProgress ...func(done, total int)) (*Ticket, error) {
-	if len(specs) != len(reqs) {
-		return nil, fmt.Errorf("fleet: %d specs for %d requests", len(specs), len(reqs))
-	}
-	t := &Ticket{onProgress: onProgress, outs: make([]sweep.Outcome, len(reqs)), doneCh: make(chan struct{})}
+// deliver them, concurrently and possibly out of order. onDone, when
+// non-nil, is called exactly once with the result set, right after the
+// onProgress call that reaches done == total; for an all-hit or empty
+// submission that is before Submit returns. Neither runs under the
+// queue lock, so either may call back into the queue.
+func (q *Queue) Submit(reqs []sweep.Request, quality string, prio int, onProgress func(done, total int), onDone func(*sweep.ResultSet)) error {
+	s := &submission{onProgress: onProgress, onDone: onDone, outs: make([]sweep.Outcome, len(reqs))}
 	for i, r := range reqs {
-		t.outs[i].Request = r
+		s.outs[i].Request = r
 	}
 
 	q.mu.Lock()
@@ -502,7 +489,7 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int, onProgr
 	}
 	if live := len(q.cells); live+len(newKeys) > q.maxPending {
 		q.unlock()
-		return nil, ErrQueueFull{Live: live, New: len(newKeys), Limit: q.maxPending, RetryAfter: time.Second}
+		return ErrQueueFull{Live: live, New: len(newKeys), Limit: q.maxPending, RetryAfter: time.Second}
 	}
 
 	enqueued := false
@@ -522,7 +509,7 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int, onProgr
 			}
 		} else {
 			q.seq++
-			c = &cell{key: keys[i], req: r, spec: specs[i], prio: prio, seq: q.seq}
+			c = &cell{key: keys[i], req: r, spec: SpecFor(quality, r), prio: prio, seq: q.seq}
 			if r.ExecMode() == core.ExecReplay {
 				c.group = &replayGroup{r.Workload.Name, r.Workload.Params, r.Variant, r.Options}
 			}
@@ -530,26 +517,24 @@ func (q *Queue) Submit(reqs []sweep.Request, specs []CellSpec, prio int, onProgr
 			q.insertPendingLocked(c)
 			enqueued = true
 		}
-		c.waiters = append(c.waiters, waiter{t, i})
+		c.waiters = append(c.waiters, waiter{s, i})
 	}
 	if enqueued {
 		q.notifyLocked()
 	}
 	q.unlock()
 
-	// Deliver cache hits after releasing the queue lock; deliver takes
-	// only the ticket lock.
+	// Deliver cache hits after releasing the queue lock. An all-hit (or
+	// empty) submission finishes here without ever waking a worker.
 	for i, res := range hits {
 		if res != nil {
-			t.deliver(i, res, nil)
+			s.deliver(i, res, nil)
 		}
 	}
-	// An all-hit (or empty) submission finishes here without ever
-	// waking a worker.
-	if len(reqs) == 0 {
-		close(t.doneCh)
+	if len(reqs) == 0 && onDone != nil {
+		onDone(&sweep.ResultSet{Outcomes: s.outs})
 	}
-	return t, nil
+	return nil
 }
 
 // insertPendingLocked inserts keeping the (priority desc, seq asc)
@@ -776,10 +761,11 @@ func (q *Queue) Complete(id, worker string, results []CellResult) (accepted, dro
 	}
 	q.unlock()
 
-	// Fan out after dropping the queue lock: deliver takes ticket locks.
+	// Fan out after dropping the queue lock: delivery runs the
+	// submissions' callbacks.
 	for _, d := range deliveries {
 		for _, w := range d.c.waiters {
-			w.t.deliver(w.idx, d.res, d.err)
+			w.s.deliver(w.idx, d.res, d.err)
 		}
 	}
 	return accepted, dropped
@@ -825,15 +811,15 @@ func (q *Queue) expireLocked() {
 }
 
 // unlock releases the queue lock, then fails the waiters of the cells
-// expireLocked abandoned: delivery takes ticket locks and runs progress
-// callbacks, which must not run under the queue lock.
+// expireLocked abandoned: delivery runs the submissions' callbacks,
+// which must not run under the queue lock.
 func (q *Queue) unlock() {
 	abandoned := q.abandoned
 	q.abandoned = nil
 	q.mu.Unlock()
 	for _, a := range abandoned {
 		for _, w := range a.c.waiters {
-			w.t.deliver(w.idx, nil, a.err)
+			w.s.deliver(w.idx, nil, a.err)
 		}
 	}
 }

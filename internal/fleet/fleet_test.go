@@ -36,13 +36,26 @@ func tinyReqs(t *testing.T, nWorkloads int, exec core.ExecMode) ([]sweep.Request
 	reqs := g.Expand()
 	specs := make([]CellSpec, len(reqs))
 	for i, r := range reqs {
-		sp, err := SpecFor("tiny", r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = sp
+		specs[i] = SpecFor("tiny", r)
 	}
 	return reqs, specs
+}
+
+// submitted is a submission's outcome as its onDone callback delivers
+// it: done closes when the set arrives, and a second call panics.
+type submitted struct {
+	done chan struct{}
+	set  *sweep.ResultSet
+}
+
+// submit submits requests drawn from the tiny pool.
+func submit(q *Queue, reqs []sweep.Request, prio int) (*submitted, error) {
+	s := &submitted{done: make(chan struct{})}
+	err := q.Submit(reqs, "tiny", prio, nil, func(set *sweep.ResultSet) {
+		s.set = set
+		close(s.done)
+	})
+	return s, err
 }
 
 // The tiny pool is constructed once — building workloads generates
@@ -84,18 +97,18 @@ func completeAll(t *testing.T, q *Queue, worker string) int {
 	}
 }
 
-// TestSubmitDedupe: overlapping submissions share cells; each ticket
+// TestSubmitDedupe: overlapping submissions share cells; each submission
 // still gets every outcome, and the queue completes each distinct cell
 // once.
 func TestSubmitDedupe(t *testing.T) {
 	q := New(Options{})
-	reqs, specs := tinyReqs(t, 2, core.ExecDirect)
+	reqs, _ := tinyReqs(t, 2, core.ExecDirect)
 
-	t1, err := q.Submit(reqs, specs, 0)
+	t1, err := submit(q, reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := q.Submit(reqs, specs, 0)
+	t2, err := submit(q, reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,25 +119,23 @@ func TestSubmitDedupe(t *testing.T) {
 	if n := completeAll(t, q, "w1"); n != len(reqs) {
 		t.Fatalf("completed %d distinct cells, want %d", n, len(reqs))
 	}
-	for _, tk := range []*Ticket{t1, t2} {
+	for _, tk := range []*submitted{t1, t2} {
 		select {
-		case <-tk.Done():
+		case <-tk.done:
 		default:
-			t.Fatal("ticket not finished after completing every cell")
+			t.Fatal("submission not finished after completing every cell")
 		}
-		set, ok := tk.ResultSet()
-		if !ok || len(set.Outcomes) != len(reqs) {
-			t.Fatalf("result set not available: ok=%v", ok)
+		if len(tk.set.Outcomes) != len(reqs) {
+			t.Fatalf("result set has %d outcomes, want %d", len(tk.set.Outcomes), len(reqs))
 		}
-		if err := set.Err(); err != nil {
+		if err := tk.set.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s1, _ := t1.ResultSet()
-	s2, _ := t2.ResultSet()
+	s1, s2 := t1.set, t2.set
 	for i := range s1.Outcomes {
 		if s1.Outcomes[i].Result != s2.Outcomes[i].Result {
-			t.Fatalf("outcome %d: tickets did not share the single computed result", i)
+			t.Fatalf("outcome %d: submissions did not share the single computed result", i)
 		}
 	}
 }
@@ -133,19 +144,19 @@ func TestSubmitDedupe(t *testing.T) {
 // a priority; a shared cell is promoted to the highest priority asked.
 func TestPriorities(t *testing.T) {
 	q := New(Options{})
-	reqs, specs := tinyReqs(t, 3, core.ExecDirect)
+	reqs, _ := tinyReqs(t, 3, core.ExecDirect)
 
 	lo := reqs[:2]
 	hi := reqs[2:4]
 	promoted := reqs[:1] // resubmitted at high priority below
 
-	if _, err := q.Submit(lo, specs[:2], 0); err != nil {
+	if _, err := submit(q, lo, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(hi, specs[2:4], 5); err != nil {
+	if _, err := submit(q, hi, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(promoted, specs[:1], 9); err != nil {
+	if _, err := submit(q, promoted, 9); err != nil {
 		t.Fatal(err)
 	}
 
@@ -179,8 +190,8 @@ func TestPriorities(t *testing.T) {
 // enqueues nothing, and the error names the numbers.
 func TestQueueFull(t *testing.T) {
 	q := New(Options{MaxPending: 2})
-	reqs, specs := tinyReqs(t, 2, core.ExecDirect) // 4 cells
-	_, err := q.Submit(reqs, specs, 0)
+	reqs, _ := tinyReqs(t, 2, core.ExecDirect) // 4 cells
+	_, err := submit(q, reqs, 0)
 	var full ErrQueueFull
 	if !errors.As(err, &full) {
 		t.Fatalf("Submit over bound = %v, want ErrQueueFull", err)
@@ -194,13 +205,13 @@ func TestQueueFull(t *testing.T) {
 
 	// Under the bound it admits; a duplicate submission adds no load
 	// and is admitted even at the bound.
-	if _, err := q.Submit(reqs[:2], specs[:2], 0); err != nil {
+	if _, err := submit(q, reqs[:2], 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(reqs[:2], specs[:2], 0); err != nil {
+	if _, err := submit(q, reqs[:2], 0); err != nil {
 		t.Fatalf("duplicate submission rejected at the bound: %v", err)
 	}
-	if _, err := q.Submit(reqs[2:3], specs[2:3], 0); err == nil {
+	if _, err := submit(q, reqs[2:3], 0); err == nil {
 		t.Fatal("submission adding a cell past the bound accepted")
 	}
 }
@@ -212,9 +223,9 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
 	q := New(Options{LeaseTTL: time.Second, Now: clock})
-	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
+	reqs, _ := tinyReqs(t, 1, core.ExecDirect)
 
-	tk, err := q.Submit(reqs, specs, 0)
+	tk, err := submit(q, reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +263,11 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 		t.Fatalf("re-lease completion accepted %d dropped %d", acc, dropped)
 	}
 	select {
-	case <-tk.Done():
+	case <-tk.done:
 	default:
-		t.Fatal("ticket unfinished after re-lease completion")
+		t.Fatal("submission unfinished after re-lease completion")
 	}
-	set, _ := tk.ResultSet()
+	set := tk.set
 	for i := range set.Outcomes {
 		if set.Outcomes[i].Result == nil || set.Outcomes[i].Result.Checksum < 1100 {
 			t.Fatalf("outcome %d did not come from the live worker: %+v", i, set.Outcomes[i].Result)
@@ -272,10 +283,10 @@ func TestExpiryLimitFailsCell(t *testing.T) {
 	now := time.Unix(0, 0)
 	cache := &countingCache{}
 	q := New(Options{LeaseTTL: time.Second, Now: func() time.Time { return now }, Cache: cache})
-	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
-	reqs, specs = reqs[:1], specs[:1]
+	reqs, _ := tinyReqs(t, 1, core.ExecDirect)
+	reqs = reqs[:1]
 
-	tk, err := q.Submit(reqs, specs, 0)
+	tk, err := submit(q, reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,12 +298,11 @@ func TestExpiryLimitFailsCell(t *testing.T) {
 		q.Stats()                              // reaps the lease
 	}
 	select {
-	case <-tk.Done():
+	case <-tk.done:
 	default:
-		t.Fatalf("ticket unfinished after %d expiries", MaxExpiries)
+		t.Fatalf("submission unfinished after %d expiries", MaxExpiries)
 	}
-	set, _ := tk.ResultSet()
-	err = set.Outcomes[0].Err
+	err = tk.set.Outcomes[0].Err
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("after %d leases expired", MaxExpiries)) ||
 		!strings.Contains(err.Error(), fmt.Sprintf("doomed-%d", MaxExpiries)) {
 		t.Fatalf("abandoned cell error = %v, want the attempt count and the last worker", err)
@@ -305,16 +315,16 @@ func TestExpiryLimitFailsCell(t *testing.T) {
 		t.Error("an abandoned cell was leased again")
 	}
 
-	tk, err = q.Submit(reqs, specs, 0)
+	tk, err = submit(q, reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := completeAll(t, q, "live"); n != 1 {
 		t.Fatalf("resubmitted cell completed %d times", n)
 	}
-	<-tk.Done()
-	if set, _ := tk.ResultSet(); set.Err() != nil {
-		t.Errorf("resubmitted cell failed: %v", set.Err())
+	<-tk.done
+	if err := tk.set.Err(); err != nil {
+		t.Errorf("resubmitted cell failed: %v", err)
 	}
 	if cache.puts != 1 {
 		t.Errorf("store saw %d puts, want only the resubmitted cell's", cache.puts)
@@ -326,8 +336,8 @@ func TestExpiryLimitFailsCell(t *testing.T) {
 func TestHeartbeatKeepsLease(t *testing.T) {
 	now := time.Unix(0, 0)
 	q := New(Options{LeaseTTL: time.Second, Now: func() time.Time { return now }})
-	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
-	if _, err := q.Submit(reqs, specs, 0); err != nil {
+	reqs, _ := tinyReqs(t, 1, core.ExecDirect)
+	if _, err := submit(q, reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	l := leaseNow(q, "w", 64)
@@ -360,15 +370,7 @@ func TestReplayGroupLeasing(t *testing.T) {
 		Execs:     []core.ExecMode{core.ExecReplay},
 	}
 	reqs := g.Expand()
-	specs := make([]CellSpec, len(reqs))
-	for i, r := range reqs {
-		sp, err := SpecFor("tiny", r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = sp
-	}
-	if _, err := q.Submit(reqs, specs, 0); err != nil {
+	if _, err := submit(q, reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
@@ -426,13 +428,13 @@ func (c *countingCache) Put(r sweep.Request, res *core.Result) error {
 func TestCachePutOnce(t *testing.T) {
 	cache := &countingCache{}
 	q := New(Options{Cache: cache})
-	reqs, specs := tinyReqs(t, 2, core.ExecDirect)
+	reqs, _ := tinyReqs(t, 2, core.ExecDirect)
 
 	// Two overlapping submissions, then drain.
-	if _, err := q.Submit(reqs, specs, 0); err != nil {
+	if _, err := submit(q, reqs, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(reqs, specs, 0); err != nil {
+	if _, err := submit(q, reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	completeAll(t, q, "w")
@@ -440,13 +442,13 @@ func TestCachePutOnce(t *testing.T) {
 		t.Fatalf("cache saw %d puts for %d distinct cells", cache.puts, len(reqs))
 	}
 
-	// Warm: the ticket finishes inside Submit, no cells enqueued.
-	tk, err := q.Submit(reqs, specs, 0)
+	// Warm: the submission finishes inside Submit, no cells enqueued.
+	tk, err := submit(q, reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-tk.Done():
+	case <-tk.done:
 	default:
 		t.Fatal("warm submission not finished at submit")
 	}
@@ -459,8 +461,8 @@ func TestCachePutOnce(t *testing.T) {
 // queue instead of being lost.
 func TestPartialReportRequeues(t *testing.T) {
 	q := New(Options{})
-	reqs, specs := tinyReqs(t, 1, core.ExecDirect) // 2 cells
-	tk, err := q.Submit(reqs, specs, 0)
+	reqs, _ := tinyReqs(t, 1, core.ExecDirect) // 2 cells
+	tk, err := submit(q, reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,18 +476,18 @@ func TestPartialReportRequeues(t *testing.T) {
 	}
 	completeAll(t, q, "w")
 	select {
-	case <-tk.Done():
+	case <-tk.done:
 	default:
-		t.Fatal("ticket unfinished after requeue drain")
+		t.Fatal("submission unfinished after requeue drain")
 	}
 }
 
 // TestErrorCellsFailWaiters: a cell completed with an error reaches
-// every waiting ticket as that cell's error.
+// every waiting submission as that cell's error.
 func TestErrorCellsFailWaiters(t *testing.T) {
 	q := New(Options{})
-	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
-	tk, err := q.Submit(reqs, specs, 0)
+	reqs, _ := tinyReqs(t, 1, core.ExecDirect)
+	tk, err := submit(q, reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,10 +497,9 @@ func TestErrorCellsFailWaiters(t *testing.T) {
 		res = append(res, CellResult{Key: c.Key, Err: "simulated crash"})
 	}
 	q.Complete(l.ID, "w", res)
-	<-tk.Done()
-	set, _ := tk.ResultSet()
-	if err := set.Err(); err == nil || !strings.Contains(err.Error(), "simulated crash") {
-		t.Fatalf("ticket error = %v, want the worker's message", err)
+	<-tk.done
+	if err := tk.set.Err(); err == nil || !strings.Contains(err.Error(), "simulated crash") {
+		t.Fatalf("submission error = %v, want the worker's message", err)
 	}
 	if st := q.Stats(); st.Failed != int64(len(reqs)) {
 		t.Fatalf("failed counter = %d, want %d", st.Failed, len(reqs))
@@ -543,10 +544,7 @@ func TestCellSpecRejectsBadSystem(t *testing.T) {
 	bad.Caches = append([]sim.CacheConfig(nil), bad.Caches...)
 	bad.Caches[0].LineSize = 48
 	reqs[0].System = &bad
-	sp, err := SpecFor("tiny", reqs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := SpecFor("tiny", reqs[0])
 	if _, err := sp.Request(nil); err == nil || !strings.Contains(err.Error(), bad.Validate().Error()) {
 		t.Fatalf("Request with a 48-byte L1 line = %v, want the validation error", err)
 	}
@@ -570,26 +568,28 @@ func TestCellSpecRejectsSkew(t *testing.T) {
 	}
 }
 
-// TestSubscribeStreamsProgress: a submission's progress callbacks see
+// TestSubscribeStreamsProgress: a submission's progress callback sees
 // every outcome, cache hits delivered inside Submit included, ending at
-// done == total before the ticket's Done channel closes.
+// done == total before onDone delivers the set.
 func TestSubscribeStreamsProgress(t *testing.T) {
 	cache := &countingCache{}
 	q := New(Options{Cache: cache})
-	reqs, specs := tinyReqs(t, 2, core.ExecDirect)
+	reqs, _ := tinyReqs(t, 2, core.ExecDirect)
 	cache.Put(reqs[0], &core.Result{Checksum: 1})
 
 	var mu sync.Mutex
 	var calls [][2]int
 	var doneSeen bool
-	tk, err := q.Submit(reqs, specs, 0, func(done, total int) {
+	finished := make(chan struct{})
+	err := q.Submit(reqs, "tiny", 0, func(done, total int) {
 		mu.Lock()
 		defer mu.Unlock()
 		calls = append(calls, [2]int{done, total})
-	}, func(done, total int) {
+	}, func(*sweep.ResultSet) {
 		mu.Lock()
 		defer mu.Unlock()
-		doneSeen = done == total
+		doneSeen = calls[len(calls)-1][0] == len(reqs)
+		close(finished)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -601,11 +601,11 @@ func TestSubscribeStreamsProgress(t *testing.T) {
 	mu.Unlock()
 
 	completeAll(t, q, "w")
-	<-tk.Done()
+	<-finished
 	mu.Lock()
 	defer mu.Unlock()
 	if len(calls) != len(reqs) || !doneSeen {
-		t.Fatalf("progress calls %v (last done==total seen by the second callback: %v), want one per cell", calls, doneSeen)
+		t.Fatalf("progress calls %v (last done==total seen before onDone: %v), want one per cell", calls, doneSeen)
 	}
 	seen := make(map[int]bool)
 	for _, c := range calls {

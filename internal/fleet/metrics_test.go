@@ -19,9 +19,9 @@ func TestQueueMetrics(t *testing.T) {
 	clock := func() time.Time { return now }
 	reg := obs.NewRegistry()
 	q := New(Options{Registry: reg, Now: clock})
-	reqs, specs := tinyReqs(t, 2, core.ExecDirect)
+	reqs, _ := tinyReqs(t, 2, core.ExecDirect)
 
-	if _, err := q.Submit(reqs, specs, 0); err != nil {
+	if _, err := submit(q, reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	l := leaseNow(q, "w1", 64)

@@ -43,8 +43,8 @@ func receive(t *testing.T, ch <-chan leaseAt) leaseAt {
 // TestLeaseWaitPending: with cells pending, LeaseWait leases at once.
 func TestLeaseWaitPending(t *testing.T) {
 	q := New(Options{})
-	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
-	if _, err := q.Submit(reqs, specs, 0); err != nil {
+	reqs, _ := tinyReqs(t, 1, core.ExecDirect)
+	if _, err := submit(q, reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -61,8 +61,8 @@ func TestLeaseWaitWakesOnSubmit(t *testing.T) {
 	q := New(Options{})
 	ch := leaseAsync(context.Background(), q, "w")
 	time.Sleep(20 * time.Millisecond) // let the waiter park
-	reqs, specs := tinyReqs(t, 2, core.ExecDirect)
-	if _, err := q.Submit(reqs, specs, 0); err != nil {
+	reqs, _ := tinyReqs(t, 2, core.ExecDirect)
+	if _, err := submit(q, reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	if r := receive(t, ch); r.l == nil || len(r.l.Cells) != len(reqs) {
@@ -77,8 +77,8 @@ func TestLeaseWaitWakesOnSubmit(t *testing.T) {
 func TestLeaseWaitWakesAtDeadline(t *testing.T) {
 	const ttl = 80 * time.Millisecond
 	q := New(Options{LeaseTTL: ttl})
-	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
-	if _, err := q.Submit(reqs, specs, 0); err != nil {
+	reqs, _ := tinyReqs(t, 1, core.ExecDirect)
+	if _, err := submit(q, reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	granted := time.Now() // the holder's deadline is at least ttl later
@@ -101,8 +101,8 @@ func TestLeaseWaitWakesAtDeadline(t *testing.T) {
 // promptly with nil, also while other leases are outstanding.
 func TestLeaseWaitContext(t *testing.T) {
 	q := New(Options{})
-	reqs, specs := tinyReqs(t, 1, core.ExecDirect)
-	if _, err := q.Submit(reqs, specs, 0); err != nil {
+	reqs, _ := tinyReqs(t, 1, core.ExecDirect)
+	if _, err := submit(q, reqs, 0); err != nil {
 		t.Fatal(err)
 	}
 	leaseNow(q, "holder", 64) // an outstanding lease two minutes from expiry
@@ -139,14 +139,6 @@ func TestLeaseWaitConcurrent(t *testing.T) {
 		Options:   core.Options{C: 8},
 	}
 	reqs := g.Expand()
-	specs := make([]CellSpec, len(reqs))
-	for i, r := range reqs {
-		sp, err := SpecFor("tiny", r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = sp
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -176,19 +168,19 @@ func TestLeaseWaitConcurrent(t *testing.T) {
 	}
 
 	// Overlapping windows of the grid, submitted while the workers run.
-	var tickets []*Ticket
+	var subs []*submitted
 	for lo := 0; lo < len(reqs); lo += 4 {
 		hi := min(lo+8, len(reqs))
-		tk, err := q.Submit(reqs[lo:hi], specs[lo:hi], 0)
+		tk, err := submit(q, reqs[lo:hi], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tickets = append(tickets, tk)
+		subs = append(subs, tk)
 		time.Sleep(time.Millisecond)
 	}
-	for i, tk := range tickets {
+	for i, tk := range subs {
 		select {
-		case <-tk.Done():
+		case <-tk.done:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("submission %d never finished", i)
 		}

@@ -115,16 +115,10 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Handler serves the registry: Prometheus text by default, the JSON
-// snapshot when the request asks for JSON (Accept or ?format=json).
+// Handler serves the registry as Prometheus text, whatever the request
+// asks for; WriteJSON is its one JSON view (swpfd's GET /debug/vars).
 func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "json" ||
-			strings.Contains(req.Header.Get("Accept"), "application/json") {
-			w.Header().Set("Content-Type", "application/json")
-			r.WriteJSON(w)
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})

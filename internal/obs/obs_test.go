@@ -330,32 +330,38 @@ func TestRegistryRace(t *testing.T) {
 	}
 }
 
+// TestHandlerContentTypes: the handler serves Prometheus text whatever
+// the request asks for; WriteJSON (GET /debug/vars) is the JSON view.
 func TestHandlerContentTypes(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("swpf_ct_total", "").Inc()
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("text content type = %q", ct)
-	}
-	resp2, err := http.Get(srv.URL + "?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if ct := resp2.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("json content type = %q", ct)
-	}
-	var body bytes.Buffer
-	body.ReadFrom(resp2.Body)
-	if !json.Valid(body.Bytes()) {
-		t.Fatalf("invalid JSON: %s", body.String())
+	for _, tc := range []struct{ query, accept string }{
+		{"", ""},
+		{"?format=json", ""},
+		{"", "application/json"},
+	} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+tc.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.accept != "" {
+			req.Header.Set("Accept", tc.accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, perr := ParseText(resp.Body)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Errorf("query %q, Accept %q: content type = %q, want text", tc.query, tc.accept, ct)
+		}
+		if perr != nil || Find(samples, "swpf_ct_total") == nil {
+			t.Errorf("query %q, Accept %q: body not the text exposition (%v)", tc.query, tc.accept, perr)
+		}
 	}
 }
 

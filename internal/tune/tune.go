@@ -35,11 +35,6 @@ type Runner interface {
 // set (sweep.Runner{} is the minimal choice).
 type Tuner struct {
 	Runner Runner
-	// OnProgress, when non-nil, is invoked before and after every
-	// evaluation batch with cumulative (done, total) evaluation
-	// counts. Total grows as hillclimb discovers more work, so treat
-	// it as a moving target. Called from Run's goroutine only.
-	OnProgress func(done, total int)
 	// Metrics, when non-nil, counts rounds, evaluations and memo hits
 	// (see NewMetrics). Counting never influences the search.
 	Metrics *Metrics
@@ -105,8 +100,6 @@ type evaluator struct {
 	base    []map[string]float64 // per pair: hwpf -> baseline (plain) cycles
 	speed   []map[Config]float64 // per pair: candidate -> speedup over baseline
 	evals   []int                // per pair: candidate evaluations performed
-
-	done, total int
 }
 
 func newEvaluator(t Tuner, space *Space) *evaluator {
@@ -141,12 +134,6 @@ func (e *evaluator) system(cfg *sim.Config, hw string) *sim.Config {
 	c := uarch.WithHWPrefetcher(cfg, hw)
 	byHW[hw] = c
 	return c
-}
-
-func (e *evaluator) progress() {
-	if e.t.OnProgress != nil {
-		e.t.OnProgress(e.done, e.total)
-	}
 }
 
 // run evaluates every not-yet-memoized cell in one Runner batch,
@@ -195,8 +182,6 @@ func (e *evaluator) run(cells []cell) error {
 	}
 	m.Rounds.Inc()
 	m.Evaluations.Add(int64(len(reqs)))
-	e.total += len(reqs)
-	e.progress()
 	set, err := e.t.Runner.Execute(reqs)
 	if err != nil {
 		return err
@@ -213,8 +198,6 @@ func (e *evaluator) run(cells []cell) error {
 		e.speed[s.p][s.cfg] = e.base[s.p][s.cfg.HWPF] / set.Outcomes[i].Result.Cycles
 		e.evals[s.p]++
 	}
-	e.done += len(reqs)
-	e.progress()
 	return nil
 }
 
