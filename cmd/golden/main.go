@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/store"
@@ -105,8 +106,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	var (
 		jobs = fs.Int("jobs", 0, "worker goroutines (0 = all CPUs, 1 = serial)")
 		tiny = fs.Bool("tiny", false, "tiny workload sizes (fast smoke dump)")
-		hwpf = fs.String("hwpf", "", "hardware-prefetcher axis: comma-separated models among default,none,stride,nextline,ghb,imp (default: default)")
-		cm   = fs.String("core", "", "core-model axis: comma-separated models among default,interval,ooo,inorder (default: default)")
+		hwpf = fs.String("hwpf", "", "hardware-prefetcher axis: comma-separated models among "+strings.Join(sweep.HWPrefetcherAxis().Names(), ",")+" (default: default)")
+		cm   = fs.String("core", "", "core-model axis: comma-separated models among "+strings.Join(sweep.CoreAxis().Names(), ",")+" (default: default)")
 		exec = fs.String("exec", "", "execution mode: direct (interpret every cell) or replay (record each workload/variant once, retime everywhere); dumps are byte-identical either way")
 	)
 	resolveStore := store.BindFlags(fs)

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"strings"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // TestTinyDumpSerialVsParallel diffs a tiny-matrix dump between one
@@ -99,6 +103,25 @@ func TestBadFlagRejected(t *testing.T) {
 	}
 	if err := run([]string{"-exec", "jit"}, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown exec mode accepted")
+	}
+}
+
+// TestAxisFlagHelp: the help of -hwpf and of -core names exactly its
+// axis's values, so the help follows the registries.
+func TestAxisFlagHelp(t *testing.T) {
+	var help bytes.Buffer
+	if err := run([]string{"-h"}, &bytes.Buffer{}, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h = %v", err)
+	}
+	for name, values := range map[string][]string{
+		"hwpf": sweep.HWPrefetcherAxis().Names(),
+		"core": sweep.CoreAxis().Names(),
+	} {
+		_, usage, _ := strings.Cut(help.String(), "  -"+name+" string\n")
+		usage, _, _ = strings.Cut(usage, "\n")
+		if want := "among " + strings.Join(values, ",") + " "; !strings.Contains(usage, want) {
+			t.Errorf("-%s help %q does not say %q", name, usage, want)
+		}
 	}
 }
 

@@ -112,12 +112,12 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		doSweep   = fs.Bool("sweep", false, "run an ad-hoc grid instead of a figure (see -workloads/-systems/-variants/-hwpf)")
 		workloads = fs.String("workloads", "", "sweep: comma-separated workloads, exact or prefix (default: all)")
 		systems   = fs.String("systems", "", "sweep: comma-separated systems (default: all)")
-		variants  = fs.String("variants", "", "sweep: comma-separated variants among plain,auto,manual,icc,indirect-only (default: plain,auto)")
-		hwpfAxis  = fs.String("hwpf", "", "sweep: comma-separated hardware prefetchers among default,none,stride,nextline,ghb,imp (default: default)")
-		coreAxis  = fs.String("core", "", "sweep: comma-separated core models among default,interval,ooo,inorder (default: default)")
+		variants  = fs.String("variants", "", "sweep: comma-separated variants among "+strings.Join(sweep.VariantAxis().Names(), ",")+" (default: plain,auto)")
+		hwpfAxis  = fs.String("hwpf", "", "sweep: comma-separated hardware prefetchers among "+strings.Join(sweep.HWPrefetcherAxis().Names(), ",")+" (default: default)")
+		coreAxis  = fs.String("core", "", "sweep: comma-separated core models among "+strings.Join(sweep.CoreAxis().Names(), ",")+" (default: default)")
 		genN      = fs.Int("gen", 0, "sweep: add N generated kernels (internal/gen) to the selectable workload pool as GEN-00..")
 		genSeed   = fs.Uint64("gen-seed", wkl.SyntheticDefaultSeed, "sweep: generator seed for -gen kernels")
-		execAxis  = fs.String("exec", "", "sweep: comma-separated execution modes among direct,replay (default: direct); replay interprets each workload/variant once and retimes it on every machine")
+		execAxis  = fs.String("exec", "", "sweep: comma-separated execution modes among "+strings.Join(sweep.ExecModeAxis().Names(), ",")+" (default: direct); replay interprets each workload/variant once and retimes it on every machine")
 		traceFile = fs.String("trace", "", "replay an imported text trace (one \"pc addr size kind\" access per line; see docs/trace.md) across -systems x -hwpf x -core, then exit")
 		c         = fs.Int64("c", 0, "sweep: look-ahead constant (0 = the paper's 64)")
 		depth     = fs.Int("depth", 0, "sweep: stagger depth limit (0 = unlimited)")

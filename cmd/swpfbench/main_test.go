@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 func TestUnknownExperiment(t *testing.T) {
@@ -89,6 +93,27 @@ func TestListEnumeratesAxes(t *testing.T) {
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("-list output missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// TestAxisFlagHelp: each sweep axis flag's help names exactly its
+// axis's values, so the help follows the registries.
+func TestAxisFlagHelp(t *testing.T) {
+	var help bytes.Buffer
+	if err := run([]string{"-h"}, &bytes.Buffer{}, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h = %v", err)
+	}
+	for name, values := range map[string][]string{
+		"variants": sweep.VariantAxis().Names(),
+		"hwpf":     sweep.HWPrefetcherAxis().Names(),
+		"core":     sweep.CoreAxis().Names(),
+		"exec":     sweep.ExecModeAxis().Names(),
+	} {
+		_, usage, _ := strings.Cut(help.String(), "  -"+name+" string\n")
+		usage, _, _ = strings.Cut(usage, "\n")
+		if want := "among " + strings.Join(values, ",") + " "; !strings.Contains(usage, want) {
+			t.Errorf("-%s help %q does not say %q", name, usage, want)
 		}
 	}
 }

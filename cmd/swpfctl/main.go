@@ -201,10 +201,10 @@ func cmdSubmit(argv []string, stdout, stderr io.Writer) error {
 
 		workloads = fs.String("workloads", "", "comma-separated workload names (empty = all)")
 		systems   = fs.String("systems", "", "comma-separated machine names (empty = all)")
-		variants  = fs.String("variants", "", "comma-separated variants among plain,auto,manual,icc,indirect-only (empty = plain,auto)")
-		hwpfAxis  = fs.String("hwpf", "", "comma-separated hardware-prefetcher models (empty = default)")
-		coreAxis  = fs.String("core", "", "comma-separated core models among default,interval,ooo,inorder (empty = default)")
-		exec      = fs.String("exec", "", "comma-separated execution modes among direct,replay (empty = direct)")
+		variants  = fs.String("variants", "", "comma-separated variants among "+strings.Join(sweep.VariantAxis().Names(), ",")+" (empty = plain,auto)")
+		hwpfAxis  = fs.String("hwpf", "", "comma-separated hardware-prefetcher models among "+strings.Join(sweep.HWPrefetcherAxis().Names(), ",")+" (empty = default)")
+		coreAxis  = fs.String("core", "", "comma-separated core models among "+strings.Join(sweep.CoreAxis().Names(), ",")+" (empty = default)")
+		exec      = fs.String("exec", "", "comma-separated execution modes among "+strings.Join(sweep.ExecModeAxis().Names(), ",")+" (empty = direct)")
 		c         = fs.Int64("c", 0, "look-ahead constant (0 = the paper's 64)")
 		depth     = fs.Int("depth", 0, "stagger depth limit (0 = unlimited)")
 		hoist     = fs.Bool("hoist", false, "hoist loop-invariant prefetch address parts")

@@ -308,7 +308,8 @@ func flagHelp(t *testing.T, verb string) map[string]string {
 // TestSpecFlagHelp: the spec flags' help says what the spec does with
 // each value: an empty -variants selects the variant axis's default,
 // -c 0 is the paper's 64, -depth and -depths are stagger-depth limits
-// where 0 is unlimited, and -quality names every workload pool.
+// where 0 is unlimited, -quality names every workload pool, and each
+// axis flag of submit names exactly its axis's values.
 func TestSpecFlagHelp(t *testing.T) {
 	submit, tune := flagHelp(t, "submit"), flagHelp(t, "tune")
 	var def []string
@@ -324,6 +325,15 @@ func TestSpecFlagHelp(t *testing.T) {
 	}
 	for _, q := range workloads.Qualities() {
 		checks = append(checks, struct{ flag, help, want string }{"tune -quality", tune["quality"], q})
+	}
+	for flag, names := range map[string][]string{
+		"variants": sweep.VariantAxis().Names(),
+		"hwpf":     sweep.HWPrefetcherAxis().Names(),
+		"core":     sweep.CoreAxis().Names(),
+		"exec":     sweep.ExecModeAxis().Names(),
+	} {
+		want := "among " + strings.Join(names, ",") + " "
+		checks = append(checks, struct{ flag, help, want string }{"submit -" + flag, submit[flag], want})
 	}
 	for _, c := range checks {
 		if !strings.Contains(c.help, c.want) {

@@ -259,6 +259,10 @@ func (j *job) finish(rep report, err error) {
 	j.wakeLocked()
 }
 
+// finishSweep is a sweep job's completion callback for
+// fleet.Queue.Submit: the job ends with the submission's result set.
+func (j *job) finishSweep(set *sweep.ResultSet) { j.finish(set, set.Err()) }
+
 // JobStatus is the wire form of a job, served by GET /jobs{,/{id}}.
 // Tune jobs additionally carry their full tune spec (search strategy
 // and ladders) under "tune"; their done/total counts are evaluations,
@@ -580,8 +584,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// A submission the store answers entirely finishes the job inside
 		// Submit, so its results are servable when this handler replies.
 		j := newJob(sub.spec, nil, len(sub.reqs))
-		err := s.queue.Submit(sub.reqs, sub.spec.QualityName(), sub.spec.Priority, j.setProgress,
-			func(set *sweep.ResultSet) { j.finish(set, set.Err()) })
+		err := s.queue.Submit(sub.reqs, sub.spec.QualityName(), sub.spec.Priority, j.setProgress, j.finishSweep)
 		var full fleet.ErrQueueFull
 		if errors.As(err, &full) {
 			w.Header().Set("Retry-After", strconv.Itoa(int(full.RetryAfter.Seconds()+0.5)))

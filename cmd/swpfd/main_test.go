@@ -187,11 +187,10 @@ func TestWarmSweepFinishedAtReply(t *testing.T) {
 	}
 
 	// An HTTP round trip gives a goroutine time to win that race, so pin
-	// the ordering itself: an all-hit submission finishes the job before
-	// Submit returns.
+	// the ordering itself with the callbacks handleSweep passes: an
+	// all-hit submission finishes the job before Submit returns.
 	j := newJob(SweepSpec{}, nil, 0)
-	err = fleet.New(fleet.Options{}).Submit(nil, "tiny", 0, j.setProgress,
-		func(set *sweep.ResultSet) { j.finish(set, set.Err()) })
+	err = fleet.New(fleet.Options{}).Submit(nil, "tiny", 0, j.setProgress, j.finishSweep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -374,6 +375,13 @@ func assemble(workload, system string, v Variant, sum int64, st interp.Stats, hi
 // simulator core for cfg is reset in place rather than rebuilt, and a
 // kernel this context has built before is not built again.
 func (cx *Context) Run(w *workloads.Workload, cfg *sim.Config, v Variant, o Options) (*Result, error) {
+	return cx.run(w, cfg, v, o, nil)
+}
+
+// run is the one body of Run and Record: it executes the requested
+// variant of the workload on cfg, mirroring the run into tw when tw is
+// not nil.
+func (cx *Context) run(w *workloads.Workload, cfg *sim.Config, v Variant, o Options, tw *trace.Writer) (*Result, error) {
 	inst, passRes, err := cx.kernel(w, v, o)
 	if err != nil {
 		return nil, err
@@ -381,6 +389,7 @@ func (cx *Context) Run(w *workloads.Workload, cfg *sim.Config, v Variant, o Opti
 
 	mach := interp.NewOnCore(inst.Mod, cx.core(cfg))
 	mach.MaxInstrs = o.MaxInstrs
+	mach.RecordTo(tw)
 	sum, err := inst.Exec(mach)
 	cx.release(cfg)
 	if err != nil {
@@ -403,16 +412,4 @@ func Transform(mod *ir.Module, o Options) (map[string]*prefetch.Result, error) {
 		return nil, fmt.Errorf("core: pass produced invalid IR: %w", err)
 	}
 	return res, nil
-}
-
-// Execute runs a function from an arbitrary module on a machine and
-// returns the result value plus statistics — the generic counterpart
-// of Run for custom kernels.
-func Execute(mod *ir.Module, cfg *sim.Config, fn string, args ...int64) (int64, interp.Stats, error) {
-	mach := interp.New(mod, cfg)
-	v, err := mach.Run(fn, args...)
-	if err != nil {
-		return 0, interp.Stats{}, err
-	}
-	return v, mach.Stats(), nil
 }

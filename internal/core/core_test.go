@@ -154,29 +154,6 @@ exit:
 	}
 }
 
-func TestExecute(t *testing.T) {
-	mod := ir.MustParse(`module m
-func add(%a: i64, %b: i64) -> i64 {
-entry:
-  %s = add %a, %b
-  ret %s
-}
-`)
-	v, st, err := Execute(mod, uarch.Haswell(), "add", 2, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 42 {
-		t.Errorf("result = %d", v)
-	}
-	if st.Instructions == 0 {
-		t.Error("no instructions recorded")
-	}
-	if _, _, err := Execute(mod, uarch.Haswell(), "missing"); err == nil {
-		t.Error("missing function accepted")
-	}
-}
-
 // TestVariantEffectOrdering: on an in-order machine with a memory-bound
 // input, the canonical ordering must hold: manual >= auto > plain, and
 // the restricted ICC mode must not beat the full pass.

@@ -57,26 +57,12 @@ func optionsMeta(o Options) string {
 // configuration yields identical bytes, which is why one trace serves
 // every machine × hwpf cell of a (workload, variant) group.
 func (cx *Context) Record(w *workloads.Workload, cfg *sim.Config, v Variant, o Options) (*trace.Trace, *Result, error) {
-	inst, passRes, err := cx.kernel(w, v, o)
+	tw := trace.NewWriter()
+	res, err := cx.run(w, cfg, v, o, tw)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	mach := interp.NewOnCore(inst.Mod, cx.core(cfg))
-	mach.MaxInstrs = o.MaxInstrs
-	tw := trace.NewWriter()
-	mach.RecordTo(tw)
-	sum, err := inst.Exec(mach)
-	cx.release(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: record %s/%s on %s: %w", w.Name, v, cfg.Name, err)
-	}
-	if sum != inst.Want {
-		return nil, nil, fmt.Errorf("core: record %s/%s on %s: checksum %d, want %d",
-			w.Name, v, cfg.Name, sum, inst.Want)
-	}
-
-	st := mach.Stats()
+	st := res.Stats
 	oc := make([]uint64, len(st.OpCounts))
 	copy(oc, st.OpCounts[:])
 	t := tw.Close(
@@ -84,15 +70,10 @@ func (cx *Context) Record(w *workloads.Workload, cfg *sim.Config, v Variant, o O
 		trace.Summary{
 			Executed: st.Executed, OpCounts: oc,
 			Loads: st.Loads, Stores: st.Stores, Prefetches: st.Prefetches,
-			Checksum: sum,
+			Checksum: res.Checksum,
 		},
 	)
-	return t, assemble(w.Name, cfg.Name, v, sum, st, mach.Core.Hierarchy(), passRes), nil
-}
-
-// Record is the package-level one-shot form of Context.Record.
-func Record(w *workloads.Workload, cfg *sim.Config, v Variant, o Options) (*trace.Trace, *Result, error) {
-	return NewContext().Record(w, cfg, v, o)
+	return t, res, nil
 }
 
 // ReplayImage retimes a predecoded trace on cfg, reusing the context's
@@ -110,20 +91,4 @@ func (cx *Context) ReplayImage(im *interp.Image, cfg *sim.Config) (*Result, erro
 	}
 	return assemble(t.Meta.Workload, cfg.Name, Variant(t.Meta.Variant), t.Summary.Checksum,
 		st, cx.core(cfg).Hierarchy(), nil), nil
-}
-
-// ReplayTrace is the one-shot form: decode and retime in one call.
-// Callers replaying one trace on several configurations should build
-// the interp.Image once and use ReplayImage.
-func (cx *Context) ReplayTrace(t *trace.Trace, cfg *sim.Config) (*Result, error) {
-	im, err := interp.NewImage(t)
-	if err != nil {
-		return nil, fmt.Errorf("core: replay %s/%s: %w", t.Meta.Workload, t.Meta.Variant, err)
-	}
-	return cx.ReplayImage(im, cfg)
-}
-
-// ReplayTrace is the package-level one-shot form of Context.ReplayTrace.
-func ReplayTrace(t *trace.Trace, cfg *sim.Config) (*Result, error) {
-	return NewContext().ReplayTrace(t, cfg)
 }

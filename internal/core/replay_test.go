@@ -25,7 +25,7 @@ func TestRecordReplayMatchesRun(t *testing.T) {
 	o := Options{}
 	for _, w := range ws {
 		for _, v := range []Variant{VariantPlain, VariantAuto} {
-			tr, recRes, err := Record(w, cfgs[0], v, o)
+			tr, recRes, err := NewContext().Record(w, cfgs[0], v, o)
 			if err != nil {
 				t.Fatalf("record %s/%s: %v", w.Name, v, err)
 			}
@@ -66,7 +66,7 @@ func TestRecordMachineIndependentAcrossUarch(t *testing.T) {
 	w := workloads.IS(1<<10, 1<<12)
 	var traces []*trace.Trace
 	for _, cfg := range uarch.All() {
-		tr, _, err := Record(w, cfg, VariantAuto, Options{})
+		tr, _, err := NewContext().Record(w, cfg, VariantAuto, Options{})
 		if err != nil {
 			t.Fatalf("record on %s: %v", cfg.Name, err)
 		}
@@ -86,7 +86,7 @@ func TestRecordMachineIndependentAcrossUarch(t *testing.T) {
 func TestReplayTraceRoundTripsSerialization(t *testing.T) {
 	w := workloads.IS(1<<9, 1<<10)
 	cfg := uarch.A53()
-	tr, _, err := Record(w, cfg, VariantAuto, Options{})
+	tr, _, err := NewContext().Record(w, cfg, VariantAuto, Options{})
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -94,11 +94,19 @@ func TestReplayTraceRoundTripsSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	a, err := ReplayTrace(tr, cfg)
+	imA, err := interp.NewImage(tr)
+	if err != nil {
+		t.Fatalf("image: %v", err)
+	}
+	imB, err := interp.NewImage(decoded)
+	if err != nil {
+		t.Fatalf("image decoded: %v", err)
+	}
+	a, err := NewContext().ReplayImage(imA, cfg)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	b, err := ReplayTrace(decoded, cfg)
+	b, err := NewContext().ReplayImage(imB, cfg)
 	if err != nil {
 		t.Fatalf("replay decoded: %v", err)
 	}

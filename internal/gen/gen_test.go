@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hwpf"
 	"repro/internal/interp"
 	"repro/internal/prefetch"
+	"repro/internal/sim"
 	"repro/internal/uarch"
 )
 
@@ -154,6 +156,47 @@ func TestOracleFamily(t *testing.T) {
 	for _, k := range Family(1, n) {
 		if f := o.Check(k); f != nil {
 			t.Fatalf("oracle failure: %v", f)
+		}
+	}
+}
+
+// TestOracleExplicitCoreModels: the oracle checks a kernel on the
+// explicit core models, Haswell out of order and the A53 in order. Its
+// replay phase must retime each cell on the cell's own model: a replay
+// on another model than the direct run's reports a false replay-diff.
+func TestOracleExplicitCoreModels(t *testing.T) {
+	o := DefaultOracle()
+	o.Systems = []*sim.Config{
+		uarch.WithCoreModel(uarch.Haswell(), sim.CoreOoO),
+		uarch.WithCoreModel(uarch.A53(), sim.CoreInOrder),
+	}
+	if f := o.Check(Family(1, 1)[0]); f != nil {
+		t.Fatalf("oracle failure: %v", f)
+	}
+}
+
+// TestDefaultOracleCoversEveryCoreModel: the default sim phase runs
+// both machines on every registered core model under every hardware
+// model, and each cell's name carries its core model.
+func TestDefaultOracleCoversEveryCoreModel(t *testing.T) {
+	got := map[string]bool{}
+	for _, c := range DefaultOracle().simCells() {
+		got[c.name] = true
+	}
+	var want []string
+	for _, m := range []string{"A53", "Haswell"} {
+		for _, core := range sim.CoreModels() {
+			for _, h := range hwpf.Names() {
+				want = append(want, m+"/"+core+"/"+h)
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d distinct default cells, want %d", len(got), len(want))
+	}
+	for _, name := range want {
+		if !got[name] {
+			t.Errorf("no default oracle cell %s", name)
 		}
 	}
 }

@@ -24,7 +24,7 @@ type Failure struct {
 	// "interp-diff", "sim-invariant", "record" or "replay-diff".
 	Stage string
 	// Cell names the failing grid cell within the stage, e.g.
-	// "c=8,depth=1,hoist=true" or "Haswell/imp".
+	// "c=8,depth=1,hoist=true" or "Haswell/ooo/imp".
 	Cell string
 	// Detail is the human-readable mismatch description.
 	Detail string
@@ -38,7 +38,7 @@ func (f *Failure) Error() string {
 // Oracle checks generated kernels differentially. The zero value is
 // not useful; start from DefaultOracle and override fields.
 //
-// Check runs three phases per kernel:
+// Check runs four phases per kernel:
 //
 //  1. verify: ir.Verify accepts the generated module;
 //  2. interp-diff: the interpreter result and final memory image of
@@ -47,12 +47,12 @@ func (f *Failure) Error() string {
 //     look-ahead x stagger-depth x hoist variant, plus the restricted
 //     (icc), indirect-only and flat-offset pass modes;
 //  3. sim-invariant: the full simulator, across every configured
-//     machine x hardware-prefetcher model, reproduces the reference
-//     checksum, satisfies the statistics invariants (prefetched-
-//     unused <= prefetches issued, no hardware prefetches from the
-//     "none" model, no TLB drops from same-page models), and is
-//     bit-identical when the same grid is re-run on Jobs parallel
-//     workers;
+//     machine (each on its own core model) x hardware-prefetcher
+//     model, reproduces the reference checksum, satisfies the
+//     statistics invariants (prefetched-unused <= prefetches issued,
+//     no hardware prefetches from the "none" model, no TLB drops from
+//     same-page models), and is bit-identical when the same grid is
+//     re-run on Jobs parallel workers;
 //  4. replay-diff: the auto-prefetched kernel is recorded once
 //     (internal/trace) and the trace replayed on every sim cell — each
 //     replayed record must be bit-identical to the cell's direct run,
@@ -108,14 +108,20 @@ func (c Counts) String() string {
 
 // DefaultOracle returns the configuration the test suite and
 // cmd/swpffuzz use: two look-aheads, stagger depths 0/1, hoisting
-// off/on, one in-order and one out-of-order machine, every hardware
-// model, and an 8-worker parallel re-run.
+// off/on, one in-order and one out-of-order machine on every core
+// model, every hardware model, and an 8-worker parallel re-run.
 func DefaultOracle() *Oracle {
+	var systems []*sim.Config
+	for _, cfg := range []*sim.Config{uarch.A53(), uarch.Haswell()} {
+		for _, core := range sim.CoreModels() {
+			systems = append(systems, uarch.WithCoreModel(cfg, core))
+		}
+	}
 	return &Oracle{
 		Cs:        []int64{8, 64},
 		Depths:    []int{0, 1},
 		Hoists:    []bool{false, true},
-		Systems:   []*sim.Config{uarch.A53(), uarch.Haswell()},
+		Systems:   systems,
 		HWPFs:     hwpf.Names(),
 		Jobs:      8,
 		MaxInstrs: 1 << 24,
@@ -319,30 +325,16 @@ func (o *Oracle) recordImage(k *Kernel) (*interp.Image, *Failure) {
 	return im, nil
 }
 
-// replaySim retimes the recorded image on the cell's machine and
-// snapshots the same statistics runSim does, so the two records are
-// directly comparable.
+// replaySim retimes the recorded image on the cell's machine and core
+// model and snapshots the same statistics runSim does, so the two
+// records are directly comparable.
 func (o *Oracle) replaySim(im *interp.Image, c simCell) simRecord {
-	machCore := sim.NewCore(c.cfg)
-	st, err := im.Replay(machCore)
+	core := sim.NewCoreModel(c.cfg)
+	st, err := im.Replay(core)
 	if err != nil {
 		return simRecord{Err: err.Error()}
 	}
-	hier := machCore.Hierarchy()
-	l1 := hier.Caches()[0]
-	return simRecord{
-		Sum:          im.Trace().Summary.Checksum,
-		Cycles:       st.Cycles,
-		Instructions: st.Instructions,
-		L1Hits:       l1.Hits,
-		L1Misses:     l1.Misses,
-		SWPrefetches: hier.SWPrefetches,
-		HWPrefetches: hier.HWPrefetches,
-		HWDropped:    hier.HWPrefetchDropped,
-		UnusedL1:     l1.PrefetchedUnused,
-		TLBWalks:     hier.TLBStats().Walks,
-		OpPrefetches: st.Prefetches,
-	}
+	return snapshot(im.Trace().Summary.Checksum, st, core.Hierarchy())
 }
 
 // simCell is one machine x hardware-model configuration.
@@ -357,7 +349,7 @@ func (o *Oracle) simCells() []simCell {
 	for _, cfg := range o.Systems {
 		for _, model := range o.HWPFs {
 			out = append(out, simCell{
-				name:  cfg.Name + "/" + model,
+				name:  cfg.Name + "/" + cfg.CoreName() + "/" + model,
 				cfg:   uarch.WithHWPrefetcher(cfg, model),
 				model: model,
 			})
@@ -403,8 +395,11 @@ func (o *Oracle) runSim(k *Kernel, c simCell) simRecord {
 	if err != nil {
 		return simRecord{Err: err.Error()}
 	}
-	st := mach.Stats()
-	hier := mach.Core.Hierarchy()
+	return snapshot(sum, mach.Stats(), mach.Core.Hierarchy())
+}
+
+// snapshot is the record of a finished run, direct or replayed.
+func snapshot(sum int64, st interp.Stats, hier *sim.Hierarchy) simRecord {
 	l1 := hier.Caches()[0]
 	return simRecord{
 		Sum:          sum,

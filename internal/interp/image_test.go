@@ -310,15 +310,19 @@ func TestReplayOversizedAllocFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	im, err := NewImage(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := sim.DefaultConfig()
 	cfg.HWPrefetcher = "imp"
-	_, err = Replay(tr, sim.NewCoreModel(cfg))
+	_, err = im.Replay(sim.NewCoreModel(cfg))
 	var fault *Fault
 	if !errors.As(err, &fault) || fault.Op != ir.OpAlloc {
 		t.Fatalf("IMP replay: err = %v, want an alloc Fault", err)
 	}
 	cfg.HWPrefetcher = "stride"
-	if _, err := Replay(tr, sim.NewCoreModel(cfg)); err != nil {
+	if _, err := im.Replay(sim.NewCoreModel(cfg)); err != nil {
 		t.Fatalf("stream-only replay: %v", err)
 	}
 }

@@ -62,17 +62,11 @@ var runs atomic.Uint64
 // Runs returns the process-wide count of Machine.Run invocations.
 func Runs() uint64 { return runs.Load() }
 
-// New builds a machine for the module on the given core configuration;
-// the core timing model is whatever cfg.Core selects (empty = the
-// legacy interval model).
+// New builds a machine for the module over a fresh core of the given
+// configuration; the core timing model is whatever cfg.Core selects
+// (empty = the legacy interval model).
 func New(mod *ir.Module, cfg *sim.Config) *Machine {
-	m := &Machine{
-		Mod:  mod,
-		Core: sim.NewCoreModel(cfg),
-		Mem:  NewMemory(),
-	}
-	m.Core.Hierarchy().SetPeek(m.Mem.Peek)
-	return m
+	return NewOnCore(mod, sim.NewCoreModel(cfg))
 }
 
 // NewOnCore builds a machine over an existing simulator core, resetting
@@ -89,7 +83,7 @@ func NewOnCore(mod *ir.Module, core sim.CoreModel) *Machine {
 		Core: core,
 		Mem:  NewMemory(),
 	}
-	// Re-point the prefetcher peek hook at this machine's memory; the
+	// Point the prefetcher peek hook at this machine's memory; a
 	// recycled core last peeked into the previous run's address space.
 	m.Core.Hierarchy().SetPeek(m.Mem.Peek)
 	return m
@@ -98,7 +92,7 @@ func NewOnCore(mod *ir.Module, core sim.CoreModel) *Machine {
 // RecordTo attaches a trace writer: every subsequent core-visible
 // event (ops, loads, stores, prefetches, branches, finish) and every
 // simulated-memory mutation is mirrored into w, producing a trace that
-// interp.Replay can retime on any machine configuration. Recording
+// Image.Replay can retime on any machine configuration. Recording
 // changes nothing about the run itself — the same core calls happen
 // with the same arguments — it only tracks, per SSA slot, which trace
 // event produced the slot's readiness time, so events can carry

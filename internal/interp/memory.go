@@ -1,5 +1,5 @@
 // Package interp executes IR programs functionally over a simulated
-// flat address space while driving a sim.Core timing model, so that a
+// flat address space while driving a sim.CoreModel timing model, so that a
 // program's result and its cycle cost come from one run.
 package interp
 

@@ -14,7 +14,7 @@ import (
 // Image is a trace predecoded into flat arrays, ready to be replayed
 // against any number of machine configurations. Building the Image
 // pays the varint/stream decoding cost exactly once; each Replay is
-// then a tight loop over the arrays issuing sim.Core calls. The sweep
+// then a tight loop over the arrays issuing sim.CoreModel calls. The sweep
 // runner builds one Image per (workload, variant) group and fans the
 // machine × hwpf cells off it, so per-cell cost is the timing model
 // plus array dispatch — no interpretation, no decoding.
@@ -138,7 +138,7 @@ var valueBufs = sync.Pool{New: func() any { return new([]float64) }}
 // Replay drives the core timing model from the predecoded trace instead
 // of live interpretation: the machine-retiming half of the record/replay
 // split. The core is reset to a cold state first (mirroring NewOnCore),
-// then each trace event issues the same sim.Core call, with the same
+// then each trace event issues the same sim.CoreModel call, with the same
 // arguments, that the recording run issued — readiness times are
 // recomputed as the max completion time of each event's dependency set,
 // which is exactly the computation the interpreter performs over its
@@ -242,17 +242,6 @@ func (im *Image) Replay(c sim.CoreModel) (Stats, error) {
 	}
 	copy(st.OpCounts[:], t.Summary.OpCounts)
 	return st, nil
-}
-
-// Replay is the one-shot form: decode the trace and retime it on c.
-// Callers replaying one trace on many configurations should build the
-// Image once with NewImage and call its Replay per configuration.
-func Replay(t *trace.Trace, c sim.CoreModel) (Stats, error) {
-	im, err := NewImage(t)
-	if err != nil {
-		return Stats{}, err
-	}
-	return im.Replay(c)
 }
 
 // pokeType maps a poke width back to the IR type Memory.Store expects.

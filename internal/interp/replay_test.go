@@ -91,10 +91,14 @@ func TestReplayMatchesDirect(t *testing.T) {
 	} {
 		// Record on the first config; replay everywhere.
 		tr, _ := recordKernel(t, src.src, src.fn, replayConfigs()[0], n)
+		im, err := NewImage(tr)
+		if err != nil {
+			t.Fatalf("%s: image: %v", src.name, err)
+		}
 		for _, cfg := range replayConfigs() {
 			want := directRun(t, src.src, src.fn, cfg, n)
-			c := sim.NewCore(cfg)
-			st, err := Replay(tr, c)
+			c := sim.NewCoreModel(cfg)
+			st, err := im.Replay(c)
 			if err != nil {
 				t.Fatalf("%s on %s: replay: %v", src.name, cfg.Name, err)
 			}
@@ -146,9 +150,14 @@ func TestReplaySerializedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	c1, c2 := sim.NewCore(cfg), sim.NewCore(cfg)
-	st1, err1 := Replay(tr, c1)
-	st2, err2 := Replay(decoded, c2)
+	im1, err1 := NewImage(tr)
+	im2, err2 := NewImage(decoded)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("image: %v / %v", err1, err2)
+	}
+	c1, c2 := sim.NewCoreModel(cfg), sim.NewCoreModel(cfg)
+	st1, err1 := im1.Replay(c1)
+	st2, err2 := im2.Replay(c2)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("replay: %v / %v", err1, err2)
 	}

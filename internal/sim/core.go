@@ -1,9 +1,9 @@
 package sim
 
-// Core is the incumbent issue-interval core timing model — registry
-// name "interval" (see coremodel.go for the pluggable-model axis). It
-// consumes a dynamic instruction stream (driven by the interpreter)
-// and advances a cycle clock.
+// intervalCore is the incumbent issue-interval core timing model —
+// registry name "interval" (see coremodel.go for the pluggable-model
+// axis). It consumes a dynamic instruction stream (driven by the
+// interpreter) and advances a cycle clock.
 //
 // The model issues instructions in order at IssueWidth per cycle.
 // Completion is tracked per instruction:
@@ -20,63 +20,23 @@ package sim
 //
 // Software prefetches never produce a value, so they never stall the
 // core; they occupy an issue slot and memory-system resources only.
-type Core struct {
-	cfg  *Config
-	hier *Hierarchy
-
-	clock    float64
-	issueInt float64   // 1/IssueWidth, precomputed off the issue path
-	rob      []float64 // completion times of the last ROBSize instructions
-	robPos   int
-	retired  uint64
-
-	// Branch predictor state: simple deterministic "mispredict every
-	// 1/rate branches" counter, keeping runs reproducible.
-	branchCount uint64
-
-	// Stats.
-	Instructions uint64
-	Prefetches   uint64
-	Branches     uint64
-	Mispredicts  uint64
+type intervalCore struct {
+	pipeline
+	rob    []float64 // completion times of the last ROBSize instructions
+	robPos int
 }
 
-// NewCore builds an interval core over a fresh memory hierarchy.
-func NewCore(cfg *Config) *Core {
-	return &Core{
-		cfg:      cfg,
-		hier:     NewHierarchy(cfg),
-		issueInt: 1 / float64(cfg.IssueWidth),
-		rob:      make([]float64, cfg.ROBSize),
-	}
+func newIntervalCore(cfg *Config) *intervalCore {
+	return &intervalCore{pipeline: newPipeline(cfg), rob: make([]float64, cfg.ROBSize)}
 }
 
 // Model returns the registry name.
-func (c *Core) Model() string { return CoreInterval }
-
-// CoreStats snapshots the instruction-stream statistics.
-func (c *Core) CoreStats() CoreStats {
-	return CoreStats{
-		Instructions: c.Instructions,
-		Prefetches:   c.Prefetches,
-		Branches:     c.Branches,
-		Mispredicts:  c.Mispredicts,
-	}
-}
-
-// Hierarchy returns the core's memory system.
-func (c *Core) Hierarchy() *Hierarchy { return c.hier }
-
-// Config returns the machine configuration.
-func (c *Core) Config() *Config { return c.cfg }
-
-// Cycles returns the current clock value.
-func (c *Core) Cycles() float64 { return c.clock }
+func (c *intervalCore) Model() string { return CoreInterval }
 
 // issueAt reserves an issue slot: the clock advances by the issue
 // interval, waiting first for a free ROB entry and (on in-order cores)
 // for the operands.
-func (c *Core) issueAt(opsReady float64) float64 {
+func (c *intervalCore) issueAt(opsReady float64) float64 {
 	if oldest := c.rob[c.robPos]; oldest > c.clock {
 		c.clock = oldest // ROB full: wait for the oldest to complete
 	}
@@ -84,22 +44,21 @@ func (c *Core) issueAt(opsReady float64) float64 {
 		c.clock = opsReady // stall-on-use
 	}
 	c.clock += c.issueInt
-	c.Instructions++
+	c.stats.Instructions++
 	return c.clock
 }
 
-func (c *Core) retire(complete float64) {
+func (c *intervalCore) retire(complete float64) {
 	c.rob[c.robPos] = complete
 	c.robPos++
 	if c.robPos == len(c.rob) {
 		c.robPos = 0
 	}
-	c.retired++
 }
 
 // Op executes a simple ALU instruction with the given latency and
 // returns the time its result is ready.
-func (c *Core) Op(opsReady float64, latency int64) float64 {
+func (c *intervalCore) Op(opsReady float64, latency int64) float64 {
 	issue := c.issueAt(opsReady)
 	start := issue
 	if opsReady > start {
@@ -112,7 +71,7 @@ func (c *Core) Op(opsReady float64, latency int64) float64 {
 
 // Load issues a demand load of addr; the address operands become ready
 // at opsReady. Returns the time the loaded value is available.
-func (c *Core) Load(pc int, addr int64, opsReady float64) float64 {
+func (c *intervalCore) Load(pc int, addr int64, opsReady float64) float64 {
 	issue := c.issueAt(opsReady)
 	start := issue
 	if opsReady > start {
@@ -125,7 +84,7 @@ func (c *Core) Load(pc int, addr int64, opsReady float64) float64 {
 
 // Store issues a store; the core does not stall on its completion
 // (store buffer), but the access consumes memory-system resources.
-func (c *Core) Store(pc int, addr int64, opsReady float64) float64 {
+func (c *intervalCore) Store(pc int, addr int64, opsReady float64) float64 {
 	issue := c.issueAt(opsReady)
 	start := issue
 	if opsReady > start {
@@ -139,9 +98,9 @@ func (c *Core) Store(pc int, addr int64, opsReady float64) float64 {
 // Prefetch issues a software prefetch: one issue slot, a memory access,
 // no stall. valid=false models a prefetch whose address fell outside
 // any mapping — it is dropped (prefetches never fault).
-func (c *Core) Prefetch(pc int, addr int64, opsReady float64, valid bool) float64 {
+func (c *intervalCore) Prefetch(pc int, addr int64, opsReady float64, valid bool) float64 {
 	issue := c.issueAt(opsReady)
-	c.Prefetches++
+	c.stats.Prefetches++
 	if valid {
 		start := issue
 		if opsReady > start {
@@ -155,45 +114,18 @@ func (c *Core) Prefetch(pc int, addr int64, opsReady float64, valid bool) float6
 
 // Branch issues a (conditional) branch, charging the mispredict penalty
 // at the configured rate.
-func (c *Core) Branch(opsReady float64, conditional bool) float64 {
+func (c *intervalCore) Branch(opsReady float64, conditional bool) float64 {
 	issue := c.issueAt(opsReady)
 	if conditional {
-		c.Branches++
-		if c.cfg.MispredictRate > 0 {
-			c.branchCount++
-			interval := uint64(1 / c.cfg.MispredictRate)
-			if interval > 0 && c.branchCount%interval == 0 {
-				c.Mispredicts++
-				// The pipeline restarts after the branch resolves.
-				resolve := issue
-				if opsReady > resolve {
-					resolve = opsReady
-				}
-				c.clock = resolve + float64(c.cfg.MispredictPenalty)
-			}
-		}
+		c.branch(issue, opsReady)
 	}
 	c.retire(issue)
 	return issue
 }
 
-// Finish waits for outstanding work and returns the final cycle count.
-func (c *Core) Finish() float64 {
-	if d := c.hier.Drain(); d > c.clock {
-		c.clock = d
-	}
-	return c.clock
-}
-
 // Reset returns the core and hierarchy to a cold state.
-func (c *Core) Reset() {
-	c.clock = 0
-	for i := range c.rob {
-		c.rob[i] = 0
-	}
+func (c *intervalCore) Reset() {
+	clear(c.rob)
 	c.robPos = 0
-	c.retired = 0
-	c.branchCount = 0
-	c.Instructions, c.Prefetches, c.Branches, c.Mispredicts = 0, 0, 0, 0
-	c.hier.Reset()
+	c.pipeline.Reset()
 }

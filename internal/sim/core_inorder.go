@@ -1,6 +1,6 @@
 package sim
 
-// InOrderCore is the cheap stall-on-use model at the simple end of the
+// inOrderCore is the cheap stall-on-use model at the simple end of the
 // core axis: instructions issue strictly in order at IssueWidth per
 // cycle, and issue stalls until the issuing instruction's operands are
 // ready — a dependent use after a missing load serialises the loop,
@@ -15,44 +15,16 @@ package sim
 // completion-time window check removed — one comparison cheaper per
 // instruction, and honest about what a scoreboarded in-order pipeline
 // actually does.
-type InOrderCore struct {
-	cfg  *Config
-	hier *Hierarchy
+type inOrderCore struct{ pipeline }
 
-	clock    float64
-	issueInt float64
-
-	branchCount uint64
-	stats       CoreStats
-}
-
-// NewInOrderCore builds an in-order core over a fresh memory hierarchy.
-func NewInOrderCore(cfg *Config) *InOrderCore {
-	return &InOrderCore{
-		cfg:      cfg,
-		hier:     NewHierarchy(cfg),
-		issueInt: 1 / float64(cfg.IssueWidth),
-	}
-}
+func newInOrderCore(cfg *Config) *inOrderCore { return &inOrderCore{newPipeline(cfg)} }
 
 // Model returns the registry name.
-func (c *InOrderCore) Model() string { return CoreInOrder }
-
-// Config returns the machine configuration.
-func (c *InOrderCore) Config() *Config { return c.cfg }
-
-// Hierarchy returns the core's memory system.
-func (c *InOrderCore) Hierarchy() *Hierarchy { return c.hier }
-
-// Cycles returns the current clock value.
-func (c *InOrderCore) Cycles() float64 { return c.clock }
-
-// CoreStats snapshots the instruction-stream statistics.
-func (c *InOrderCore) CoreStats() CoreStats { return c.stats }
+func (c *inOrderCore) Model() string { return CoreInOrder }
 
 // issueAt reserves an issue slot, stalling on the operands first — the
 // stall-on-use rule that defines the model.
-func (c *InOrderCore) issueAt(opsReady float64) float64 {
+func (c *inOrderCore) issueAt(opsReady float64) float64 {
 	if opsReady > c.clock {
 		c.clock = opsReady
 	}
@@ -63,20 +35,20 @@ func (c *InOrderCore) issueAt(opsReady float64) float64 {
 
 // Op executes a simple ALU instruction and returns the time its result
 // is ready.
-func (c *InOrderCore) Op(opsReady float64, latency int64) float64 {
+func (c *inOrderCore) Op(opsReady float64, latency int64) float64 {
 	return c.issueAt(opsReady) + float64(latency)
 }
 
 // Load issues a demand load; issue already waited for the operands, so
 // the access starts at the issue slot.
-func (c *InOrderCore) Load(pc int, addr int64, opsReady float64) float64 {
+func (c *inOrderCore) Load(pc int, addr int64, opsReady float64) float64 {
 	issue := c.issueAt(opsReady)
 	return c.hier.Access(AccessLoad, pc, addr, issue)
 }
 
 // Store issues a store; the core does not stall on its completion
 // (store buffer), but the access consumes memory-system resources.
-func (c *InOrderCore) Store(pc int, addr int64, opsReady float64) float64 {
+func (c *inOrderCore) Store(pc int, addr int64, opsReady float64) float64 {
 	issue := c.issueAt(opsReady)
 	c.hier.Access(AccessStore, pc, addr, issue)
 	return issue
@@ -84,7 +56,7 @@ func (c *InOrderCore) Store(pc int, addr int64, opsReady float64) float64 {
 
 // Prefetch issues a software prefetch: one issue slot, a memory access,
 // no stall. valid=false drops the access (prefetches never fault).
-func (c *InOrderCore) Prefetch(pc int, addr int64, opsReady float64, valid bool) float64 {
+func (c *inOrderCore) Prefetch(pc int, addr int64, opsReady float64, valid bool) float64 {
 	issue := c.issueAt(opsReady)
 	c.stats.Prefetches++
 	if valid {
@@ -94,36 +66,12 @@ func (c *InOrderCore) Prefetch(pc int, addr int64, opsReady float64, valid bool)
 }
 
 // Branch issues a (conditional) branch, restarting the pipeline at the
-// configured deterministic mispredict rate.
-func (c *InOrderCore) Branch(opsReady float64, conditional bool) float64 {
+// configured deterministic mispredict rate. Issue waited for the
+// operands, so the branch resolves at its issue slot.
+func (c *inOrderCore) Branch(opsReady float64, conditional bool) float64 {
 	issue := c.issueAt(opsReady)
 	if conditional {
-		c.stats.Branches++
-		if c.cfg.MispredictRate > 0 {
-			c.branchCount++
-			interval := uint64(1 / c.cfg.MispredictRate)
-			if interval > 0 && c.branchCount%interval == 0 {
-				c.stats.Mispredicts++
-				c.clock = issue + float64(c.cfg.MispredictPenalty)
-			}
-		}
+		c.branch(issue, opsReady)
 	}
 	return issue
-}
-
-// Finish waits for outstanding memory-system work and returns the final
-// cycle count.
-func (c *InOrderCore) Finish() float64 {
-	if d := c.hier.Drain(); d > c.clock {
-		c.clock = d
-	}
-	return c.clock
-}
-
-// Reset returns the core and hierarchy to a cold state in place.
-func (c *InOrderCore) Reset() {
-	c.clock = 0
-	c.branchCount = 0
-	c.stats = CoreStats{}
-	c.hier.Reset()
 }

@@ -11,7 +11,7 @@ func TestIssueWidthBoundsIPC(t *testing.T) {
 	for _, width := range []int{1, 2, 4} {
 		cfg := testConfig()
 		cfg.IssueWidth = width
-		core := NewCore(cfg)
+		core := newIntervalCore(cfg)
 		const n = 10000
 		for i := 0; i < n; i++ {
 			core.Op(0, 1)
@@ -33,7 +33,7 @@ func TestDependentChainThroughput(t *testing.T) {
 		cfg := testConfig()
 		cfg.OutOfOrder = ooo
 		cfg.IssueWidth = 4
-		core := NewCore(cfg)
+		core := newIntervalCore(cfg)
 		ready := 0.0
 		const n = 1000
 		for i := 0; i < n; i++ {
@@ -53,7 +53,7 @@ func TestDependentChainThroughput(t *testing.T) {
 // TestMulDivLatencies: arithmetic latencies show up in value readiness.
 func TestMulDivLatencies(t *testing.T) {
 	cfg := testConfig()
-	core := NewCore(cfg)
+	core := newIntervalCore(cfg)
 	start := core.Cycles()
 	done := core.Op(start, cfg.MulLatency)
 	if done-start < float64(cfg.MulLatency) {
@@ -67,7 +67,7 @@ func TestQuickClockMonotone(t *testing.T) {
 	err := quick.Check(func(seed int64, ops []uint8) bool {
 		cfg := testConfig()
 		cfg.OutOfOrder = seed%2 == 0
-		core := NewCore(cfg)
+		core := newIntervalCore(cfg)
 		prev := 0.0
 		ready := 0.0
 		for i, op := range ops {

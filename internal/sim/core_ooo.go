@@ -1,6 +1,6 @@
 package sim
 
-// OoOCore models an out-of-order core at the retirement level, one
+// oooCore models an out-of-order core at the retirement level, one
 // step more honest than the interval model's completion-time window:
 //
 //   - dispatch is in order at IssueWidth per cycle and stalls only when
@@ -25,57 +25,35 @@ package sim
 //
 // The model ignores Config.OutOfOrder: selecting it makes any machine
 // out of order.
-type OoOCore struct {
-	cfg  *Config
-	hier *Hierarchy
-
-	clock    float64
-	issueInt float64
-	// retire holds the in-order retirement times of the last ROBSize
+type oooCore struct {
+	pipeline
+	// rob holds the in-order retirement times of the last ROBSize
 	// instructions; lastRetire enforces the in-order rule.
-	retire     []float64
+	rob        []float64
 	robPos     int
 	lastRetire float64
-
-	branchCount uint64
-	stats       CoreStats
 }
 
-// NewOoOCore builds an out-of-order core over a fresh memory hierarchy.
-func NewOoOCore(cfg *Config) *OoOCore {
-	return &OoOCore{
-		cfg:      cfg,
-		hier:     NewHierarchy(cfg),
-		issueInt: 1 / float64(cfg.IssueWidth),
-		retire:   make([]float64, cfg.ROBSize),
-	}
+func newOoOCore(cfg *Config) *oooCore {
+	return &oooCore{pipeline: newPipeline(cfg), rob: make([]float64, cfg.ROBSize)}
 }
 
 // Model returns the registry name.
-func (c *OoOCore) Model() string { return CoreOoO }
+func (c *oooCore) Model() string { return CoreOoO }
 
-// Config returns the machine configuration.
-func (c *OoOCore) Config() *Config { return c.cfg }
-
-// Hierarchy returns the core's memory system.
-func (c *OoOCore) Hierarchy() *Hierarchy { return c.hier }
-
-// Cycles returns the current dispatch-clock value.
-func (c *OoOCore) Cycles() float64 {
+// Cycles returns the current clock value, covering the last retirement.
+func (c *oooCore) Cycles() float64 {
 	if c.lastRetire > c.clock {
 		return c.lastRetire
 	}
 	return c.clock
 }
 
-// CoreStats snapshots the instruction-stream statistics.
-func (c *OoOCore) CoreStats() CoreStats { return c.stats }
-
 // issueAt reserves a dispatch slot: the clock advances by the issue
 // interval, waiting first for a free ROB entry. Operands never stall
 // dispatch — that is the out-of-order-ness.
-func (c *OoOCore) issueAt() float64 {
-	if oldest := c.retire[c.robPos]; oldest > c.clock {
+func (c *oooCore) issueAt() float64 {
+	if oldest := c.rob[c.robPos]; oldest > c.clock {
 		c.clock = oldest
 	}
 	c.clock += c.issueInt
@@ -83,56 +61,56 @@ func (c *OoOCore) issueAt() float64 {
 	return c.clock
 }
 
-// retireAt records the instruction's in-order retirement: no earlier
+// retire records the instruction's in-order retirement: no earlier
 // than completion, no earlier than the previous instruction.
-func (c *OoOCore) retireAt(complete float64) {
+func (c *oooCore) retire(complete float64) {
 	if complete < c.lastRetire {
 		complete = c.lastRetire
 	}
 	c.lastRetire = complete
-	c.retire[c.robPos] = complete
+	c.rob[c.robPos] = complete
 	c.robPos++
-	if c.robPos == len(c.retire) {
+	if c.robPos == len(c.rob) {
 		c.robPos = 0
 	}
 }
 
 // Op executes a simple ALU instruction and returns the time its result
 // is ready.
-func (c *OoOCore) Op(opsReady float64, latency int64) float64 {
+func (c *oooCore) Op(opsReady float64, latency int64) float64 {
 	issue := c.issueAt()
 	start := issue
 	if opsReady > start {
 		start = opsReady
 	}
 	complete := start + float64(latency)
-	c.retireAt(complete)
+	c.retire(complete)
 	return complete
 }
 
 // Load issues a demand load; it executes once dispatched and operands
 // are ready, and occupies its ROB entry until the data returns.
-func (c *OoOCore) Load(pc int, addr int64, opsReady float64) float64 {
+func (c *oooCore) Load(pc int, addr int64, opsReady float64) float64 {
 	issue := c.issueAt()
 	start := issue
 	if opsReady > start {
 		start = opsReady
 	}
 	complete := c.hier.Access(AccessLoad, pc, addr, start)
-	c.retireAt(complete)
+	c.retire(complete)
 	return complete
 }
 
 // Store issues a store; it retires at dispatch (store buffer) while the
 // access drains through the memory system.
-func (c *OoOCore) Store(pc int, addr int64, opsReady float64) float64 {
+func (c *oooCore) Store(pc int, addr int64, opsReady float64) float64 {
 	issue := c.issueAt()
 	start := issue
 	if opsReady > start {
 		start = opsReady
 	}
 	c.hier.Access(AccessStore, pc, addr, start)
-	c.retireAt(issue)
+	c.retire(issue)
 	return issue
 }
 
@@ -140,7 +118,7 @@ func (c *OoOCore) Store(pc int, addr int64, opsReady float64) float64 {
 // access, no stall and no window occupancy beyond dispatch — the
 // reason prefetches reach beyond the ROB's own memory-level
 // parallelism. valid=false drops the access (prefetches never fault).
-func (c *OoOCore) Prefetch(pc int, addr int64, opsReady float64, valid bool) float64 {
+func (c *oooCore) Prefetch(pc int, addr int64, opsReady float64, valid bool) float64 {
 	issue := c.issueAt()
 	c.stats.Prefetches++
 	if valid {
@@ -150,54 +128,34 @@ func (c *OoOCore) Prefetch(pc int, addr int64, opsReady float64, valid bool) flo
 		}
 		c.hier.Access(AccessPrefetch, pc, addr, start)
 	}
-	c.retireAt(issue)
+	c.retire(issue)
 	return issue
 }
 
 // Branch issues a (conditional) branch, restarting the pipeline at the
 // configured deterministic mispredict rate.
-func (c *OoOCore) Branch(opsReady float64, conditional bool) float64 {
+func (c *oooCore) Branch(opsReady float64, conditional bool) float64 {
 	issue := c.issueAt()
 	if conditional {
-		c.stats.Branches++
-		if c.cfg.MispredictRate > 0 {
-			c.branchCount++
-			interval := uint64(1 / c.cfg.MispredictRate)
-			if interval > 0 && c.branchCount%interval == 0 {
-				c.stats.Mispredicts++
-				resolve := issue
-				if opsReady > resolve {
-					resolve = opsReady
-				}
-				c.clock = resolve + float64(c.cfg.MispredictPenalty)
-			}
-		}
+		c.branch(issue, opsReady)
 	}
-	c.retireAt(issue)
+	c.retire(issue)
 	return issue
 }
 
 // Finish waits for the last retirement and all outstanding memory-system
 // work, returning the final cycle count.
-func (c *OoOCore) Finish() float64 {
+func (c *oooCore) Finish() float64 {
 	if c.lastRetire > c.clock {
 		c.clock = c.lastRetire
 	}
-	if d := c.hier.Drain(); d > c.clock {
-		c.clock = d
-	}
-	return c.clock
+	return c.pipeline.Finish()
 }
 
 // Reset returns the core and hierarchy to a cold state in place.
-func (c *OoOCore) Reset() {
-	c.clock = 0
-	for i := range c.retire {
-		c.retire[i] = 0
-	}
+func (c *oooCore) Reset() {
+	clear(c.rob)
 	c.robPos = 0
 	c.lastRetire = 0
-	c.branchCount = 0
-	c.stats = CoreStats{}
-	c.hier.Reset()
+	c.pipeline.Reset()
 }

@@ -100,17 +100,88 @@ type CoreModel interface {
 }
 
 // NewCoreModel builds the core model Config.Core selects (empty =
-// interval, the legacy resolution) over a fresh memory hierarchy.
+// interval, the legacy resolution) over a fresh memory hierarchy. It
+// is the only way to build a core.
 func NewCoreModel(cfg *Config) CoreModel {
 	switch name := cfg.CoreName(); name {
 	case CoreInterval:
-		return NewCore(cfg)
+		return newIntervalCore(cfg)
 	case CoreOoO:
-		return NewOoOCore(cfg)
+		return newOoOCore(cfg)
 	case CoreInOrder:
-		return NewInOrderCore(cfg)
+		return newInOrderCore(cfg)
 	default:
 		// Validate vets the name; unreachable from vetted configs.
 		panic(fmt.Sprintf("sim: unknown core model %q (have %v)", name, CoreModels()))
 	}
+}
+
+// pipeline is what every core model shares: the machine and its memory
+// hierarchy, the clock and issue interval, the instruction-stream
+// statistics, the deterministic branch predictor, the drain and the
+// cold reset. A model embeds it and adds only its own issue and
+// retirement rules.
+type pipeline struct {
+	cfg  *Config
+	hier *Hierarchy
+
+	clock    float64
+	issueInt float64 // 1/IssueWidth, precomputed off the issue path
+
+	// branchCount drives the deterministic "mispredict every 1/rate
+	// branches" predictor, keeping runs reproducible.
+	branchCount uint64
+	stats       CoreStats
+}
+
+func newPipeline(cfg *Config) pipeline {
+	return pipeline{cfg: cfg, hier: NewHierarchy(cfg), issueInt: 1 / float64(cfg.IssueWidth)}
+}
+
+// Config returns the machine configuration.
+func (p *pipeline) Config() *Config { return p.cfg }
+
+// Hierarchy returns the core's memory system.
+func (p *pipeline) Hierarchy() *Hierarchy { return p.hier }
+
+// Cycles returns the current clock value.
+func (p *pipeline) Cycles() float64 { return p.clock }
+
+// CoreStats snapshots the instruction-stream statistics.
+func (p *pipeline) CoreStats() CoreStats { return p.stats }
+
+// branch counts a conditional branch issued at issue, its operands
+// ready at opsReady, and charges the mispredict penalty at the
+// configured rate: the pipeline restarts after the branch resolves.
+func (p *pipeline) branch(issue, opsReady float64) {
+	p.stats.Branches++
+	if p.cfg.MispredictRate > 0 {
+		p.branchCount++
+		interval := uint64(1 / p.cfg.MispredictRate)
+		if interval > 0 && p.branchCount%interval == 0 {
+			p.stats.Mispredicts++
+			resolve := issue
+			if opsReady > resolve {
+				resolve = opsReady
+			}
+			p.clock = resolve + float64(p.cfg.MispredictPenalty)
+		}
+	}
+}
+
+// Finish waits for outstanding memory-system work and returns the final
+// cycle count.
+func (p *pipeline) Finish() float64 {
+	if d := p.hier.Drain(); d > p.clock {
+		p.clock = d
+	}
+	return p.clock
+}
+
+// Reset returns the pipeline and hierarchy to a cold state in place.
+func (p *pipeline) Reset() {
+	p.clock = 0
+	p.branchCount = 0
+	p.stats = CoreStats{}
+	p.hier.Reset()
 }

@@ -79,8 +79,8 @@ func TestOoOCoreOverlapsIndependentMisses(t *testing.T) {
 	cfg := testConfig()
 	cfg.Core = CoreOoO
 	const n, stride = 64, 1 << 16 // every load a fresh L3-missing line
-	indep := scan(NewOoOCore(cfg), n, stride)
-	dep := chase(NewOoOCore(cfg), n, stride)
+	indep := scan(newOoOCore(cfg), n, stride)
+	dep := chase(newOoOCore(cfg), n, stride)
 	if indep*2 > dep {
 		t.Errorf("independent misses %f cycles vs dependent %f: expected >2x overlap", indep, dep)
 	}
@@ -96,8 +96,8 @@ func TestOoOCoreROBBoundsOverlap(t *testing.T) {
 	narrow.Core = CoreOoO
 	narrow.ROBSize = 2
 	const n, stride = 64, 1 << 16
-	fast := scan(NewOoOCore(wide), n, stride)
-	slow := scan(NewOoOCore(narrow), n, stride)
+	fast := scan(newOoOCore(wide), n, stride)
+	slow := scan(newOoOCore(narrow), n, stride)
 	if slow <= fast {
 		t.Errorf("ROB=2 run (%f cycles) not slower than ROB=%d (%f)", slow, wide.ROBSize, fast)
 	}
@@ -126,14 +126,14 @@ func TestInOrderCoreStallsOnEveryMiss(t *testing.T) {
 	cfg := testConfig()
 	cfg.Core = CoreInOrder
 	const n, stride = 64, 1 << 16
-	indep := scanUse(NewInOrderCore(cfg), n, stride)
-	dep := chase(NewInOrderCore(cfg), n, stride)
+	indep := scanUse(newInOrderCore(cfg), n, stride)
+	dep := chase(newInOrderCore(cfg), n, stride)
 	if indep < dep*0.8 {
 		t.Errorf("inorder overlapped misses: independent-used %f vs dependent %f", indep, dep)
 	}
 	ooo := testConfig()
 	ooo.Core = CoreOoO
-	if fast := scanUse(NewOoOCore(ooo), n, stride); indep <= fast*2 {
+	if fast := scanUse(newOoOCore(ooo), n, stride); indep <= fast*2 {
 		t.Errorf("inorder scan (%f) not much slower than ooo scan (%f)", indep, fast)
 	}
 }
@@ -145,9 +145,9 @@ func TestInOrderPrefetchStillHelps(t *testing.T) {
 	cfg := testConfig()
 	cfg.Core = CoreInOrder
 	const n, stride = 64, 1 << 16
-	plain := scanUse(NewInOrderCore(cfg), n, stride)
+	plain := scanUse(newInOrderCore(cfg), n, stride)
 
-	pf := NewInOrderCore(cfg)
+	pf := newInOrderCore(cfg)
 	// The 64KiB stride maps every line into one L1 set, so the
 	// look-ahead must stay below the associativity or the prefetches
 	// evict each other before use (the pollution effect of figure 2).

@@ -348,7 +348,7 @@ func TestInOrderCoreStallsOnUse(t *testing.T) {
 	cfg := testConfig()
 	cfg.OutOfOrder = false
 	cfg.IssueWidth = 1
-	core := NewCore(cfg)
+	core := newIntervalCore(cfg)
 	// A load missing to DRAM...
 	v := core.Load(1, 0, 0)
 	// ...followed by a dependent op: in-order issue stalls until v.
@@ -365,7 +365,7 @@ func TestOutOfOrderCoreOverlapsMisses(t *testing.T) {
 		cfg := testConfig()
 		cfg.OutOfOrder = ooo
 		cfg.IssueWidth = 2
-		core := NewCore(cfg)
+		core := newIntervalCore(cfg)
 		// 8 independent miss + use pairs.
 		for i := int64(0); i < 8; i++ {
 			v := core.Load(int(i), i*8192, core.Cycles())
@@ -386,7 +386,7 @@ func TestROBLimitsOverlap(t *testing.T) {
 		cfg.ROBSize = rob
 		cfg.TLBEntries = 1024
 		cfg.WalkLatency = 0
-		core := NewCore(cfg)
+		core := newIntervalCore(cfg)
 		for i := int64(0); i < 64; i++ {
 			v := core.Load(int(i), i*8192, core.Cycles())
 			core.Op(v, 1)
@@ -404,7 +404,7 @@ func TestPrefetchDoesNotStallCore(t *testing.T) {
 	cfg := testConfig()
 	cfg.OutOfOrder = false
 	cfg.IssueWidth = 1
-	core := NewCore(cfg)
+	core := newIntervalCore(cfg)
 	// Prefetch to a cold line: core advances by ~1 cycle only.
 	core.Prefetch(9, 1<<20, 0, true)
 	if core.Cycles() > 2 {
@@ -419,22 +419,22 @@ func TestPrefetchDoesNotStallCore(t *testing.T) {
 
 func TestInvalidPrefetchDropped(t *testing.T) {
 	cfg := testConfig()
-	core := NewCore(cfg)
+	core := newIntervalCore(cfg)
 	core.Prefetch(9, 123456, 0, false)
 	if core.Hierarchy().SWPrefetches != 0 {
 		t.Error("invalid prefetch reached the memory system")
 	}
-	if core.Prefetches != 1 {
+	if core.CoreStats().Prefetches != 1 {
 		t.Error("invalid prefetch not counted as an instruction")
 	}
 }
 
 func TestCoreReset(t *testing.T) {
-	core := NewCore(testConfig())
+	core := newIntervalCore(testConfig())
 	core.Load(1, 0, 0)
 	core.Op(0, 1)
 	core.Reset()
-	if core.Cycles() != 0 || core.Instructions != 0 {
+	if core.Cycles() != 0 || core.CoreStats().Instructions != 0 {
 		t.Error("reset did not clear core state")
 	}
 	if core.Hierarchy().Loads != 0 {
@@ -446,12 +446,12 @@ func TestBranchMispredictPenalty(t *testing.T) {
 	cfg := testConfig()
 	cfg.MispredictRate = 0.5
 	cfg.MispredictPenalty = 20
-	core := NewCore(cfg)
+	core := newIntervalCore(cfg)
 	for i := 0; i < 10; i++ {
 		core.Branch(0, true)
 	}
-	if core.Mispredicts != 5 {
-		t.Errorf("mispredicts = %d, want 5", core.Mispredicts)
+	if core.CoreStats().Mispredicts != 5 {
+		t.Errorf("mispredicts = %d, want 5", core.CoreStats().Mispredicts)
 	}
 	if core.Cycles() < 100 {
 		t.Errorf("penalty not applied: clock=%v", core.Cycles())

@@ -24,7 +24,7 @@ func traceReq() sweep.Request {
 
 func recordReq(t *testing.T, req sweep.Request) *trace.Trace {
 	t.Helper()
-	tr, _, err := core.Record(req.Workload, req.System, req.Variant, req.Options)
+	tr, _, err := core.NewContext().Record(req.Workload, req.System, req.Variant, req.Options)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := sim.NewCore(cfg)
+		c := sim.NewCoreModel(cfg)
 		if _, err := im.Replay(c); err != nil {
 			b.Fatalf("replay: %v", err)
 		}

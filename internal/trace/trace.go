@@ -4,12 +4,12 @@
 //
 // The interpreter's work divides cleanly in two: a *functional* phase
 // (values, addresses, control flow, memory contents) that depends only
-// on the kernel and its inputs, and a *timing* phase (the sim.Core and
+// on the kernel and its inputs, and a *timing* phase (the sim.CoreModel and
 // sim.Hierarchy calls) that also depends on the machine configuration.
 // A Trace captures the functional phase once, so the machine × hardware-
 // prefetcher axes of an experiment grid can be retimed by replaying the
 // event stream through the timing model without re-interpreting the
-// kernel (internal/interp.Replay).
+// kernel (internal/interp.Image.Replay).
 //
 // Machine independence is the load-bearing property: a trace recorded
 // under any sim.Config is byte-for-byte identical to one recorded under
@@ -54,7 +54,7 @@ type Kind uint8
 // Event kinds. Op and Load are the value-producing kinds: each occupies
 // the next slot in the dense value-index space that dependency sets
 // reference. Alloc and Poke are untimed memory-replica events; all
-// others map one-to-one onto sim.Core calls.
+// others map one-to-one onto sim.CoreModel calls.
 const (
 	KindOp Kind = iota
 	KindLoad

@@ -120,7 +120,7 @@ func (w *Writer) Branch(conditional bool, deps []int64) {
 	w.events++
 }
 
-// Finish records the end-of-run drain (sim.Core.Finish).
+// Finish records the end-of-run drain (sim.CoreModel.Finish).
 func (w *Writer) Finish() {
 	w.buf = append(w.buf, tagFinish)
 	w.events++
